@@ -1,6 +1,7 @@
 //! **Fig 12 (streaming companion)** — run-time recognition as data
-//! arrives: per-tick latency of the online fixed-lag decoder, the
-//! lag/accuracy trade-off, and multi-home router throughput.
+//! arrives: per-tick latency of the online fixed-lag decoder and the
+//! lag/accuracy trade-off. Fleet throughput on distinct homes is measured
+//! by the `fleetbench` benchmark instead.
 //!
 //! The paper evaluates CACE offline on complete sessions but pitches it as
 //! run-time middleware; this bench covers that gap. The expected shape:
@@ -8,12 +9,10 @@
 //! a lag of ~10 ticks, while per-tick cost stays flat (the frontier does
 //! `O(|S1||S2|(|S1|+|S2|))` work per tick regardless of stream length).
 
-use cace_behavior::ObservedTick;
 use cace_bench::{cace_corpus, header};
-use cace_core::{stream_session, CaceConfig, CaceEngine, Lag, StreamRouter};
+use cace_core::{stream_session, CaceConfig, CaceEngine, Lag};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn bench(c: &mut Criterion) {
     let (train, test) = cace_corpus(1, 10, 250, 14002);
@@ -52,24 +51,6 @@ fn bench(c: &mut Criterion) {
         }
     }
     println!("(paper anchor: Fig 12's incremental story — performance as data arrives)");
-
-    // Multi-home throughput snapshot.
-    let homes = 8usize;
-    let mut router = StreamRouter::with_homes(&engine, homes, Lag::Fixed(10));
-    let rounds = session.len();
-    let t0 = Instant::now();
-    for t in 0..rounds {
-        let inputs: Vec<Option<&ObservedTick>> = vec![Some(&session.ticks[t].observed); homes];
-        router.push_round(&inputs).unwrap();
-    }
-    for (_, result) in router.finish() {
-        result.unwrap();
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "router: {homes} homes x {rounds} ticks in {wall:.3} s = {:.0} ticks/s",
-        (homes * rounds) as f64 / wall.max(1e-12)
-    );
 
     // Criterion target: steady-state per-tick push cost (bounded window,
     // so repeated pushes measure the amortized frontier step).

@@ -87,12 +87,12 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 /// [`PerfRecord`](perf::PerfRecord)s keyed by a stable `id`; re-running a bench overwrites
 /// its own records and leaves the others, so the file accumulates one
 /// up-to-date row per measurement across harnesses (`score_tables`,
-/// `beam_sweep`, `f32_lane`, `router_scale`, `fleet_batch`,
-/// `kernel_parity`, `adaptation`). CI's `--quick` smoke refreshes it on
-/// every run. The PR 5/6/7/8/9 files (`BENCH_PR5.json` …
-/// `BENCH_PR9.json`) are kept as historical baselines; when
-/// `BENCH_PR10.json` does not exist yet, [`emit`](perf::emit) seeds it
-/// from the PR 9 file so still-valid records carry forward.
+/// `beam_sweep`, `f32_lane`, `router_scale`, `kernel_parity`,
+/// `adaptation`). CI's `--quick` smoke refreshes it on every run. The
+/// PR 5/6/7/8/9 files (`BENCH_PR5.json` … `BENCH_PR9.json`) are kept as
+/// historical baselines; when `BENCH_PR10.json` does not exist yet,
+/// [`emit`](perf::emit) seeds it from the PR 9 file so still-valid
+/// records carry forward.
 pub mod perf {
     use std::path::PathBuf;
 
@@ -198,21 +198,7 @@ pub mod perf {
         baseline_from("BENCH_PR7.json", id)
     }
 
-    /// `homes_per_s` of a record in the frozen PR 9 trajectory file
-    /// (`BENCH_PR9.json`) — the serving-throughput baseline the PR 10
-    /// fleet-batching gate compares against (the gate is pinned to the
-    /// throughput *as it stood when batching was specified*, so later
-    /// scalar-path speedups don't move the goalposts). Returns `None` if
-    /// the file, id, or field is missing.
-    pub fn baseline_homes_per_s_pr9(id: &str) -> Option<f64> {
-        field_from("BENCH_PR9.json", id, "homes_per_s")
-    }
-
     fn baseline_from(file: &str, id: &str) -> Option<f64> {
-        field_from(file, id, "per_tick_ns")
-    }
-
-    fn field_from(file: &str, id: &str, field: &str) -> Option<f64> {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join(file);
@@ -236,7 +222,7 @@ pub mod perf {
                 return None;
             }
             fs.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                (k, serde::Value::Float(f)) if k == field => Some(*f),
+                ("per_tick_ns", serde::Value::Float(f)) => Some(*f),
                 _ => None,
             })
         })

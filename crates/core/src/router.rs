@@ -1,10 +1,9 @@
 //! The sharded serving tier: route millions of homes over a fixed shard
 //! grid, keeping only the hot ones live.
 //!
-//! [`StreamRouter`](crate::StreamRouter) holds every home's decoder state
-//! in memory and borrows its engine, which caps it at "as many homes as
-//! fit in RAM, in one caller's stack frame". A [`ShardedRouter`] removes
-//! both limits:
+//! A [`ShardedRouter`] serves a fleet of homes, each with its own
+//! [`StreamingRecognizer`], without holding every decoder state in memory
+//! or borrowing an engine from the caller:
 //!
 //! * **Model registry.** Engines are registered once under a model id and
 //!   [`Arc`]-shared fleet-wide — every home of a model reads the same
@@ -13,29 +12,21 @@
 //! * **Stable shards.** Homes hash to one of N shards by FNV-1a of their
 //!   id — a pure function of the id and the shard count, never of thread
 //!   count, insertion order, or process state. Within a shard, pushes
-//!   apply in input order; across shards there is no shared mutable
-//!   state. Results are therefore **bit-identical** under any
+//!   apply in an order fixed by the input (see the next point); across
+//!   shards there is no shared mutable state. Results are therefore **bit-identical** under any
 //!   `RAYON_NUM_THREADS`.
-//! * **Fleet-batched stepping.** Within a round, each shard groups its
-//!   live, current-generation homes by (model, tick) into **batch
-//!   cohorts** and advances every cohort through one fused kernel pass
-//!   ([`push_cohort`](crate::stream::push_cohort)): the observation is
-//!   featurized once, the model tables stream through cache once, and
-//!   the trellis step runs over all frontiers at once. Homes a cohort
-//!   cannot absorb — parked, mid-swap, quarantined, repeat occurrences
-//!   of an id, mismatched lag or frontier shape, actively-pruning beams
-//!   — fall back to the scalar path; [`ShardStats::batched_pushes`] and
-//!   [`ShardStats::fallback_pushes`] count both sides. Batched and
-//!   scalar decisions are **bit-identical** (`tests/router_scale.rs`
-//!   and `tests/streaming_equivalence.rs` prove it).
+//! * **Live-first rounds.** Within a round, each shard first pushes the
+//!   first occurrence of every live, current-generation home, then
+//!   everything else (parked, mid-swap, quarantined, repeat ids), each
+//!   pass in input order. Serving live homes before the rehydrations of
+//!   the same round keeps them from being evicted by those rehydrations
+//!   just before their own push.
 //! * **LRU live cap.** Each shard keeps at most `live_cap` homes live;
 //!   the least-recently-pushed overflow is transparently **parked** —
-//!   serialized to versioned snapshot bytes (the compact binary kind
-//!   [`ParkedStream::to_snapshot_bytes`] by default; JSON via
-//!   [`with_json_parking`](ShardedRouter::with_json_parking)) — and
-//!   rehydrated on its next push with a bit-identical continuation. A
-//!   capped router's decisions equal an uncapped one's
-//!   (`tests/router_scale.rs` proves it).
+//!   serialized to versioned binary snapshot bytes
+//!   ([`ParkedStream::to_snapshot_bytes`]) — and rehydrated on its next
+//!   push with a bit-identical continuation. A capped router's decisions
+//!   equal an uncapped one's (`tests/router_scale.rs` proves it).
 //! * **Fault containment.** A failing push, a tampered parked snapshot,
 //!   or a checkpoint that does not match its model **quarantines** that
 //!   home ([`HomeRound::Failed`], then [`HomeRound::Quarantined`]) and
@@ -61,7 +52,7 @@
 //! swaps, LRU repairs, push latency) are exposed through
 //! [`ShardedRouter::stats`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,10 +63,38 @@ use rayon::prelude::*;
 
 use crate::engine::{CaceEngine, Recognition};
 use crate::snapshot::{fnv1a64, ModelRecord};
-use crate::stream::{resume_shared, stream_shared, HomeRound, ParkedStream, StreamingRecognizer};
+use crate::stream::{
+    resume_shared, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
+};
 
 fn config_err(what: impl Into<String>) -> ModelError {
     ModelError::InvalidConfig(what.into())
+}
+
+/// Per-home outcome of one [`ShardedRouter::push_round`].
+#[derive(Debug, Clone)]
+pub enum HomeRound {
+    /// The home's stream advanced; a ripened fixed-lag decision may have
+    /// been emitted.
+    Advanced(Option<StreamDecision>),
+    /// The home's tick failed recognition this round. The home is now
+    /// quarantined: later rounds skip it, and [`ShardedRouter::finish`]
+    /// reports this error instead of a [`Recognition`].
+    Failed(ModelError),
+    /// The home was quarantined by an earlier round; its tick was not
+    /// delivered.
+    Quarantined,
+}
+
+impl HomeRound {
+    /// The decision of an advanced home (`None` for failed/quarantined
+    /// homes as well as rounds that ripened nothing).
+    pub fn decision(&self) -> Option<StreamDecision> {
+        match self {
+            HomeRound::Advanced(d) => *d,
+            _ => None,
+        }
+    }
 }
 
 /// Where one home's decoder state currently lives.
@@ -160,22 +179,12 @@ struct ServeView {
 #[allow(clippy::large_enum_variant)]
 enum SlotState {
     Live(Box<StreamingRecognizer<'static>>),
-    /// Parked snapshot bytes — either kind: the JSON envelope (UTF-8) or
-    /// the binary `kind=stream-bin` envelope. Rehydration sniffs the
-    /// header, so a router accepts imports of both regardless of which
-    /// kind it writes itself.
+    /// Parked snapshot bytes: the binary `kind=stream-bin` envelope the
+    /// router parks into, or the JSON envelope (UTF-8) of an
+    /// [`import_home`](ShardedRouter::import_home). Rehydration sniffs the
+    /// header, so both resume.
     Parked(Vec<u8>),
     Quarantined(ModelError),
-}
-
-/// Encodes a live stream's checkpoint in the router's configured kind.
-fn park_bytes(stream: &StreamingRecognizer<'_>, binary: bool) -> Vec<u8> {
-    let parked = stream.park();
-    if binary {
-        parked.to_snapshot_bytes()
-    } else {
-        parked.to_snapshot_string().into_bytes()
-    }
 }
 
 /// Monotonically growing counters of one shard. Deterministic for a given
@@ -203,14 +212,10 @@ pub struct ShardStats {
     pub lru_repairs: u64,
     /// Ticks pushed through this shard.
     pub pushes: u64,
-    /// Ticks advanced through a fused batch-cohort kernel pass.
+    /// Always 0. Kept so readers of earlier stats keep compiling: the
+    /// fleet-batched cohort path that counted here was removed, and every
+    /// push now takes the one per-home path.
     pub batched_pushes: u64,
-    /// Ticks that took the scalar path instead — parked or mid-swap
-    /// homes, repeat occurrences of an id within a round, cohorts of
-    /// one, or cohort members the kernel refused (mismatched lag or
-    /// frontier shape, an actively-pruning beam). Every push is counted
-    /// exactly once: `pushes == batched_pushes + fallback_pushes`.
-    pub fallback_pushes: u64,
     /// Total wall time spent inside pushes, in nanoseconds (includes any
     /// rehydration the push triggered).
     pub push_nanos: u64,
@@ -268,17 +273,6 @@ impl RouterStats {
         self.sum(|s| s.pushes)
     }
 
-    /// Total ticks advanced through fused batch-cohort kernel passes.
-    pub fn batched_pushes(&self) -> u64 {
-        self.sum(|s| s.batched_pushes)
-    }
-
-    /// Total ticks that took the scalar fallback path (see
-    /// [`ShardStats::fallback_pushes`] for what lands there).
-    pub fn fallback_pushes(&self) -> u64 {
-        self.sum(|s| s.fallback_pushes)
-    }
-
     /// Mean wall time per push, in nanoseconds (0 before the first push).
     pub fn mean_push_nanos(&self) -> u64 {
         self.sum::<u64>(|s| s.push_nanos)
@@ -295,8 +289,10 @@ struct Shard {
     index: HashMap<u64, usize>,
     /// LRU queue of `(touch, slot)` pairs, oldest first. Entries whose
     /// `touch` no longer matches the slot's are stale and skipped — lazy
-    /// deletion keeps touches O(1).
-    lru: std::collections::VecDeque<(u64, usize)>,
+    /// deletion keeps touches O(1) amortized. [`Shard::touch`] compacts
+    /// the stale entries away once the queue outgrows twice the slot
+    /// count, so its length stays bounded.
+    lru: VecDeque<(u64, usize)>,
     /// Per-shard logical clock stamping touches. Advances only on
     /// in-shard events, so it is independent of thread interleaving.
     clock: u64,
@@ -305,8 +301,6 @@ struct Shard {
     swaps: u64,
     lru_repairs: u64,
     pushes: u64,
-    batched_pushes: u64,
-    fallback_pushes: u64,
     push_nanos: u64,
 }
 
@@ -318,8 +312,6 @@ impl Shard {
             swaps: self.swaps,
             lru_repairs: self.lru_repairs,
             pushes: self.pushes,
-            batched_pushes: self.batched_pushes,
-            fallback_pushes: self.fallback_pushes,
             push_nanos: self.push_nanos,
             ..ShardStats::default()
         };
@@ -337,6 +329,14 @@ impl Shard {
         self.clock += 1;
         self.slots[slot].touch = self.clock;
         self.lru.push_back((self.clock, slot));
+        // Each slot has at most one current entry, so past 2× the slot
+        // count at least half the queue is stale. Dropping stale entries
+        // keeps the order of the rest, and `enforce_cap` skips them
+        // anyway, so eviction is unchanged.
+        if self.lru.len() > 2 * self.slots.len() {
+            let slots = &self.slots;
+            self.lru.retain(|&(touch, slot)| slots[slot].touch == touch);
+        }
     }
 
     fn live_count(&self) -> usize {
@@ -349,7 +349,7 @@ impl Shard {
     /// Parks least-recently-touched live homes until at most `cap` remain
     /// live. Deterministic: eviction order is touch order, which is
     /// in-shard push order.
-    fn enforce_cap(&mut self, cap: usize, binary: bool) {
+    fn enforce_cap(&mut self, cap: usize) {
         let mut live = self.live_count();
         while live > cap {
             let Some((touch, slot)) = self.lru.pop_front() else {
@@ -371,7 +371,7 @@ impl Shard {
                     break; // nothing live after all — nothing to park
                 };
                 if let SlotState::Live(stream) = &self.slots[slot].state {
-                    let bytes = park_bytes(stream, binary);
+                    let bytes = stream.park().to_snapshot_bytes();
                     self.slots[slot].state = SlotState::Parked(bytes);
                     self.parks += 1;
                     self.lru_repairs += 1;
@@ -383,7 +383,7 @@ impl Shard {
                 continue; // stale entry — the home was touched again later
             }
             if let SlotState::Live(stream) = &self.slots[slot].state {
-                let bytes = park_bytes(stream, binary);
+                let bytes = stream.park().to_snapshot_bytes();
                 self.slots[slot].state = SlotState::Parked(bytes);
                 self.parks += 1;
                 live -= 1;
@@ -471,92 +471,8 @@ impl Shard {
             self.touch(slot);
         }
         self.pushes += 1;
-        self.fallback_pushes += 1;
         self.push_nanos += start.elapsed().as_nanos() as u64;
         outcome
-    }
-
-    /// Advances a cohort of live, current-generation homes sharing one
-    /// observed tick through the fused batched kernel
-    /// ([`crate::stream::push_cohort`]). Members that lost live status
-    /// since cohort formation (an earlier cohort's cap enforcement can
-    /// park them) drop to the scalar [`Shard::push`] path. Outcomes are
-    /// aligned `(input position, round)` pairs.
-    fn push_cohort_members(
-        &mut self,
-        members: &[(usize, usize)],
-        views: &[ServeView],
-        tick: &ObservedTick,
-    ) -> Vec<(usize, HomeRound)> {
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(members.len());
-        let mut live: Vec<(usize, usize)> = Vec::with_capacity(members.len());
-        let mut demoted: Vec<(usize, usize)> = Vec::new();
-        for &(pos, slot) in members {
-            if matches!(self.slots[slot].state, SlotState::Live(_)) {
-                live.push((pos, slot));
-            } else {
-                demoted.push((pos, slot));
-            }
-        }
-        if live.len() < 2 {
-            // Nothing left to fuse — run the whole group scalar, in
-            // input order.
-            live.clear();
-            demoted = members.to_vec();
-        }
-        // Late-enable drift capture exactly where the scalar path does:
-        // before the push.
-        for &(_, slot) in &live {
-            let view = &views[self.slots[slot].model];
-            if let (Some(window), SlotState::Live(stream)) =
-                (view.capture_window, &mut self.slots[slot].state)
-            {
-                if !stream.drift_capture_enabled() {
-                    stream.capture_drift(window);
-                }
-            }
-        }
-        // Lift the member streams out of their slots so the cohort can
-        // borrow all of them mutably at once; every slot gets its state
-        // written back (or a quarantine) below.
-        let mut streams: Vec<Box<StreamingRecognizer<'static>>> = live
-            .iter()
-            .map(|&(_, slot)| {
-                match std::mem::replace(&mut self.slots[slot].state, SlotState::Parked(Vec::new()))
-                {
-                    SlotState::Live(stream) => stream,
-                    _ => unreachable!("liveness checked above"),
-                }
-            })
-            .collect();
-        if !streams.is_empty() {
-            let mut refs: Vec<&mut StreamingRecognizer<'static>> =
-                streams.iter_mut().map(|b| &mut **b).collect();
-            let outcome = crate::stream::push_cohort(&mut refs, tick);
-            self.batched_pushes += outcome.batched as u64;
-            self.fallback_pushes += outcome.fallback as u64;
-            for ((&(pos, slot), stream), result) in live.iter().zip(streams).zip(outcome.results) {
-                match result {
-                    Ok(decision) => {
-                        self.slots[slot].state = SlotState::Live(stream);
-                        self.touch(slot);
-                        out.push((pos, HomeRound::Advanced(decision)));
-                    }
-                    Err(e) => {
-                        self.slots[slot].state = SlotState::Quarantined(e.clone());
-                        out.push((pos, HomeRound::Failed(e)));
-                    }
-                }
-            }
-            self.pushes += live.len() as u64;
-            self.push_nanos += start.elapsed().as_nanos() as u64;
-        }
-        for (pos, slot) in demoted {
-            let round = self.push(slot, views, tick);
-            out.push((pos, round));
-        }
-        out
     }
 }
 
@@ -568,9 +484,6 @@ pub struct ShardedRouter {
     shards: Vec<Shard>,
     /// Max live homes per shard; overflow is parked, oldest first.
     live_cap: usize,
-    /// Park in the compact binary snapshot kind (the default) instead
-    /// of JSON.
-    binary_parking: bool,
 }
 
 /// Default shard count: a fixed grid (never derived from the machine's
@@ -593,7 +506,6 @@ impl ShardedRouter {
             models: Vec::new(),
             shards: (0..shards).map(|_| Shard::default()).collect(),
             live_cap: usize::MAX,
-            binary_parking: true,
         }
     }
 
@@ -602,28 +514,6 @@ impl ShardedRouter {
     /// Applies to current and future homes from the next push on.
     pub fn with_live_cap(mut self, cap: usize) -> Self {
         self.live_cap = cap.max(1);
-        self
-    }
-
-    /// Parks evicted homes in the compact binary snapshot kind
-    /// ([`ParkedStream::to_snapshot_bytes`]) — several times smaller and
-    /// cheaper per park/rehydrate cycle than JSON, with bit-identical
-    /// continuations. This is the **default**; the method is kept so
-    /// explicit configuration keeps compiling.
-    pub fn with_binary_parking(mut self) -> Self {
-        self.binary_parking = true;
-        self
-    }
-
-    /// Parks evicted homes as the portable JSON snapshot kind
-    /// ([`ParkedStream::to_snapshot_string`]) instead of the compact
-    /// binary default — human-inspectable parked bytes at a size and
-    /// speed cost. Rehydration always sniffs the header, so flipping
-    /// parking kinds between runs (or importing the other kind) is
-    /// safe, and [`export_home`](Self::export_home) emits JSON under
-    /// either setting.
-    pub fn with_json_parking(mut self) -> Self {
-        self.binary_parking = false;
         self
     }
 
@@ -749,7 +639,7 @@ impl ShardedRouter {
         shard.index.insert(id, slot);
         if matches!(shard.slots[slot].state, SlotState::Live(_)) {
             shard.touch(slot);
-            shard.enforce_cap(self.live_cap, self.binary_parking);
+            shard.enforce_cap(self.live_cap);
         }
         Ok(())
     }
@@ -813,7 +703,7 @@ impl ShardedRouter {
             SlotState::Parked(_) => Ok(()),
             SlotState::Quarantined(e) => Err(e.clone()),
             SlotState::Live(stream) => {
-                let bytes = park_bytes(stream, self.binary_parking);
+                let bytes = stream.park().to_snapshot_bytes();
                 shard.slots[slot].state = SlotState::Parked(bytes);
                 shard.parks += 1;
                 Ok(())
@@ -1065,9 +955,11 @@ impl ShardedRouter {
     }
 
     /// Delivers one round of ticks, fanned out across shards in parallel.
-    /// Outcomes are returned aligned with `ticks`. Within a shard, ticks
-    /// apply in their `ticks` order; the shard grid is fixed — results
-    /// are bit-identical under any thread count.
+    /// Outcomes are returned aligned with `ticks`. Within a shard, live
+    /// current-generation homes are pushed first and every other tick
+    /// after them, each pass in `ticks` order (see the
+    /// [module docs](self)); the shard grid is fixed — results are
+    /// bit-identical under any thread count.
     ///
     /// A home may appear multiple times in one round (its ticks apply in
     /// order); a home with no tick this round is simply not listed.
@@ -1092,7 +984,6 @@ impl ShardedRouter {
             by_shard[shard].push((pos, slot));
         }
         let live_cap = self.live_cap;
-        let binary = self.binary_parking;
         let views = self.serve_views();
         let views = &views;
         let mut work: Vec<(&mut Shard, Vec<(usize, usize)>)> =
@@ -1100,50 +991,23 @@ impl ShardedRouter {
         let mut outcomes: Vec<Vec<(usize, HomeRound)>> = work
             .par_iter_mut()
             .map(|(shard, work)| {
-                let mut out = Vec::with_capacity(work.len());
-                // Cohort formation: the first occurrence of each live,
-                // current-generation home joins the cohort of its
-                // (model, tick) pair; everything else — parked,
-                // mid-swap, quarantined, repeat occurrences of an id —
-                // takes the scalar path afterwards, in input order.
-                // Grouping is a pure function of the input list and the
-                // slot states at the top of the round, so outcomes stay
-                // bit-identical under any thread count.
-                let mut claimed: HashSet<usize> = HashSet::new();
-                let mut cohorts: Vec<((usize, *const ObservedTick), Vec<(usize, usize)>)> =
-                    Vec::new();
-                let mut scalar: Vec<(usize, usize)> = Vec::new();
-                for &(pos, slot) in work.iter() {
+                // Pass 1: the first occurrence of every live,
+                // current-generation home. Pass 2: everything else
+                // (parked, mid-swap, quarantined, repeat ids). Both in
+                // input order, decided from the slot states at the top of
+                // the round, so outcomes stay bit-identical under any
+                // thread count.
+                let mut seen = HashSet::new();
+                let (first, rest): (Vec<_>, Vec<_>) = work.iter().partition(|&&(_, slot)| {
                     let s = &shard.slots[slot];
-                    let view = &views[s.model];
-                    if matches!(s.state, SlotState::Live(_))
-                        && s.generation == view.generation
-                        && claimed.insert(slot)
-                    {
-                        let key = (s.model, ticks[pos].1 as *const ObservedTick);
-                        match cohorts.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, members)) => members.push((pos, slot)),
-                            None => cohorts.push((key, vec![(pos, slot)])),
-                        }
-                    } else {
-                        scalar.push((pos, slot));
-                    }
-                }
-                for (_, members) in cohorts {
-                    let tick = ticks[members[0].0].1;
-                    if members.len() >= 2 {
-                        out.extend(shard.push_cohort_members(&members, views, tick));
-                        shard.enforce_cap(live_cap, binary);
-                    } else {
-                        for (pos, slot) in members {
-                            out.push((pos, shard.push(slot, views, tick)));
-                            shard.enforce_cap(live_cap, binary);
-                        }
-                    }
-                }
-                for (pos, slot) in scalar {
+                    matches!(s.state, SlotState::Live(_))
+                        && s.generation == views[s.model].generation
+                        && seen.insert(slot)
+                });
+                let mut out = Vec::with_capacity(work.len());
+                for &&(pos, slot) in first.iter().chain(&rest) {
                     out.push((pos, shard.push(slot, views, ticks[pos].1)));
-                    shard.enforce_cap(live_cap, binary);
+                    shard.enforce_cap(live_cap);
                 }
                 out
             })
@@ -1399,19 +1263,15 @@ mod tests {
     }
 
     #[test]
-    fn binary_parking_matches_json_parking_bit_identically() {
+    fn shared_tick_rounds_match_per_home_rounds() {
         let (train, test) = corpus();
         let engine = arc_engine(&train);
         let lag = Lag::Fixed(4);
         let n_homes = 6u64;
 
-        // Binary parking is the default; JSON stays available (and
-        // readable) via the explicit opt-out.
-        let mut json = ShardedRouter::with_shards(2)
-            .with_live_cap(1)
-            .with_json_parking();
-        let mut bin = ShardedRouter::with_shards(2).with_live_cap(1);
-        for router in [&mut json, &mut bin] {
+        let mut shared = ShardedRouter::with_shards(2);
+        let mut per_home = ShardedRouter::with_shards(2);
+        for router in [&mut shared, &mut per_home] {
             router.register_model("cace", Arc::clone(&engine)).unwrap();
             for id in 0..n_homes {
                 router.add_home(id, "cace", lag).unwrap();
@@ -1421,57 +1281,11 @@ mod tests {
         for tick in &session.ticks {
             let round: Vec<(u64, &ObservedTick)> =
                 (0..n_homes).map(|id| (id, &tick.observed)).collect();
-            let a = json.push_round(&round).unwrap();
-            let b = bin.push_round(&round).unwrap();
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.decision(), y.decision());
-            }
-        }
-        assert!(bin.stats().parks() > 0 && bin.stats().rehydrations() > 0);
-        assert!(json.stats().parks() > 0 && json.stats().rehydrations() > 0);
-
-        // A binary-parked home exports as portable JSON, loadable by the
-        // plain JSON reader.
-        let exported = bin.export_home(0).unwrap();
-        assert!(exported.starts_with("CACE-SNAPSHOT v3 fnv1a64="));
-        assert!(ParkedStream::from_snapshot_str(&exported).is_ok());
-
-        let a = json.finish();
-        let b = bin.finish();
-        for ((id_a, rec_a), (id_b, rec_b)) in a.iter().zip(&b) {
-            assert_eq!(id_a, id_b);
-            let (rec_a, rec_b) = (rec_a.as_ref().unwrap(), rec_b.as_ref().unwrap());
-            assert_eq!(rec_a.macros, rec_b.macros);
-            assert_eq!(rec_a.states_explored, rec_b.states_explored);
-            assert_eq!(rec_a.transition_ops, rec_b.transition_ops);
-        }
-    }
-
-    #[test]
-    fn round_cohorts_match_per_home_rounds_and_count_batched_pushes() {
-        let (train, test) = corpus();
-        let engine = arc_engine(&train);
-        let lag = Lag::Fixed(4);
-        let n_homes = 6u64;
-
-        let mut fused = ShardedRouter::with_shards(2);
-        let mut scalar = ShardedRouter::with_shards(2);
-        for router in [&mut fused, &mut scalar] {
-            router.register_model("cace", Arc::clone(&engine)).unwrap();
-            for id in 0..n_homes {
-                router.add_home(id, "cace", lag).unwrap();
-            }
-        }
-        let session = &test[0];
-        for tick in &session.ticks {
-            let round: Vec<(u64, &ObservedTick)> =
-                (0..n_homes).map(|id| (id, &tick.observed)).collect();
-            let a = fused.push_round(&round).unwrap();
-            // The reference delivers the same ticks one home per round,
-            // so every push takes the proven scalar path.
+            let a = shared.push_round(&round).unwrap();
+            // The reference delivers the same ticks one home per round.
             let b: Vec<HomeRound> = (0..n_homes)
                 .map(|id| {
-                    scalar
+                    per_home
                         .push_round(&[(id, &tick.observed)])
                         .unwrap()
                         .remove(0)
@@ -1482,25 +1296,19 @@ mod tests {
                 assert!(matches!(x, HomeRound::Advanced(_)));
             }
         }
-        let fs = fused.stats();
-        let ss = scalar.stats();
-        assert!(fs.batched_pushes() > 0, "uniform fleet must batch: {fs:?}");
-        assert_eq!(fs.pushes(), fs.batched_pushes() + fs.fallback_pushes());
-        assert_eq!(ss.batched_pushes(), 0);
-        assert_eq!(ss.pushes(), ss.fallback_pushes());
 
-        // A repeated id in one round batches its first occurrence only;
-        // the repeat applies afterwards, in order, via the scalar path.
+        // A repeated id in one round applies its first occurrence in the
+        // live pass and the repeat afterwards, in order.
         let (t0, t1) = (&session.ticks[0].observed, &session.ticks[1].observed);
-        let a = fused.push_round(&[(0, t0), (1, t0), (0, t1)]).unwrap();
-        let b0 = scalar.push_round(&[(0, t0), (1, t0)]).unwrap();
-        let b1 = scalar.push_round(&[(0, t1)]).unwrap();
+        let a = shared.push_round(&[(0, t0), (1, t0), (0, t1)]).unwrap();
+        let b0 = per_home.push_round(&[(0, t0), (1, t0)]).unwrap();
+        let b1 = per_home.push_round(&[(0, t1)]).unwrap();
         assert_eq!(a[0].decision(), b0[0].decision());
         assert_eq!(a[1].decision(), b0[1].decision());
         assert_eq!(a[2].decision(), b1[0].decision());
 
-        let a = fused.finish();
-        let b = scalar.finish();
+        let a = shared.finish();
+        let b = per_home.finish();
         for ((id_a, rec_a), (id_b, rec_b)) in a.iter().zip(&b) {
             assert_eq!(id_a, id_b);
             let (rec_a, rec_b) = (rec_a.as_ref().unwrap(), rec_b.as_ref().unwrap());
@@ -1523,7 +1331,7 @@ mod tests {
         // above the cap with an empty LRU queue. The shard must repair
         // itself — park the stalest live home — not panic.
         router.shards[0].lru.clear();
-        router.shards[0].enforce_cap(1, false);
+        router.shards[0].enforce_cap(1);
         assert_eq!(router.home_status(1), Some(HomeStatus::Parked));
         assert_eq!(router.home_status(2), Some(HomeStatus::Live));
         assert_eq!(router.stats().lru_repairs(), 1);
@@ -1538,8 +1346,133 @@ mod tests {
         router.park_home(1).unwrap();
         router.park_home(2).unwrap();
         router.shards[0].lru.clear();
-        router.shards[0].enforce_cap(0, false);
+        router.shards[0].enforce_cap(0);
         assert_eq!(router.stats().lru_repairs(), 1);
+    }
+
+    #[test]
+    fn lru_queue_stays_bounded_without_a_cap() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let n_homes = 6u64;
+        let mut router = ShardedRouter::with_shards(2);
+        router.register_model("cace", engine).unwrap();
+        for id in 0..n_homes {
+            router.add_home(id, "cace", Lag::Fixed(4)).unwrap();
+        }
+        // No cap means `enforce_cap` never pops, so only touch-time
+        // compaction keeps the queue from growing with every push.
+        for tick in &test[0].ticks {
+            let round: Vec<(u64, &ObservedTick)> =
+                (0..n_homes).map(|id| (id, &tick.observed)).collect();
+            router.push_round(&round).unwrap();
+            for shard in &router.shards {
+                assert!(shard.lru.len() <= 2 * shard.slots.len());
+            }
+        }
+        assert_eq!(
+            router.stats().pushes(),
+            n_homes * test[0].ticks.len() as u64
+        );
+    }
+
+    #[test]
+    fn router_quarantines_failing_home_and_keeps_serving_the_rest() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let lag = Lag::Fixed(4);
+        let poison_at = 3usize;
+
+        // One shard, so the failing home's neighbours are shard-mates.
+        let mut router = ShardedRouter::with_shards(1);
+        router.register_model("cace", Arc::clone(&engine)).unwrap();
+        for id in [7, 8, 9] {
+            router.add_home(id, "cace", lag).unwrap();
+        }
+        let slot = router.shards[0].index[&8];
+        match &mut router.shards[0].slots[slot].state {
+            SlotState::Live(stream) => stream.poison_tick = Some(poison_at),
+            _ => panic!("a freshly added home is live"),
+        }
+        let mut dedicated = [stream_shared(&engine, lag), stream_shared(&engine, lag)];
+
+        let session = &test[0];
+        for (t, tick) in session.ticks.iter().enumerate() {
+            let round = router
+                .push_round(&[
+                    (7, &tick.observed),
+                    (8, &tick.observed),
+                    (9, &tick.observed),
+                ])
+                .unwrap();
+            // The healthy homes advance on every round, including the one
+            // where their neighbour fails, exactly like dedicated streams.
+            for (outcome, stream) in [&round[0], &round[2]].into_iter().zip(&mut dedicated) {
+                let expected = stream.push(&tick.observed).unwrap();
+                assert!(matches!(outcome, HomeRound::Advanced(_)), "tick {t}");
+                assert_eq!(outcome.decision(), expected, "tick {t}");
+            }
+            if t < poison_at {
+                assert!(matches!(round[1], HomeRound::Advanced(_)), "tick {t}");
+            } else if t == poison_at {
+                assert!(
+                    matches!(
+                        round[1],
+                        HomeRound::Failed(ModelError::EmptyStateSpace { .. })
+                    ),
+                    "poisoned tick must fail, got {:?}",
+                    round[1]
+                );
+            } else {
+                assert!(
+                    matches!(round[1], HomeRound::Quarantined),
+                    "tick {t}: failed home must stay quarantined"
+                );
+            }
+        }
+        let quarantined = router.quarantined();
+        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined[0].0, 8);
+        assert_eq!(router.home_status(8), Some(HomeStatus::Quarantined));
+
+        // The healthy homes finish exactly like their dedicated streams;
+        // the faulted home reports its error instead of a recognition.
+        let finished = router.finish();
+        let [a, b] = dedicated;
+        let expected = [a.finish().unwrap(), b.finish().unwrap()];
+        assert_eq!(finished.len(), 3);
+        for ((id, result), want) in [&finished[0], &finished[2]].into_iter().zip(&expected) {
+            let rec = result.as_ref().unwrap();
+            assert_eq!(rec.macros, want.macros, "home {id}");
+            assert_eq!(rec.states_explored, want.states_explored, "home {id}");
+            assert_eq!(rec.transition_ops, want.transition_ops, "home {id}");
+        }
+        assert_eq!(finished[1].0, 8);
+        assert!(matches!(
+            finished[1].1,
+            Err(ModelError::EmptyStateSpace { .. })
+        ));
+    }
+
+    #[test]
+    fn router_finish_reports_per_home_failures() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let mut router = ShardedRouter::with_shards(2);
+        router.register_model("cace", engine).unwrap();
+        router.add_home(0, "cace", Lag::Unbounded).unwrap();
+        router.add_home(1, "cace", Lag::Unbounded).unwrap();
+        // Home 0 receives ticks, home 1 never does — finishing an empty
+        // stream is a per-home error, not a router-wide abort.
+        for tick in &test[0].ticks[..10] {
+            router.push_round(&[(0, &tick.observed)]).unwrap();
+        }
+        let finished = router.finish();
+        assert!(finished[0].1.is_ok());
+        assert!(matches!(
+            finished[1].1,
+            Err(ModelError::InsufficientData { .. })
+        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Streaming recognition demo: per-tick latency, the lag/accuracy
-//! trade-off, and multi-home throughput through the `StreamRouter`.
+//! trade-off, and multi-home throughput through the `ShardedRouter`.
 //!
 //! ```text
 //! cargo run --release --example streaming_demo
@@ -12,14 +12,16 @@
 //!    emitted-decision schedule.
 //! 2. **Lag sweep** — accuracy at lags 0/2/5/10/20/∞ vs. the batch
 //!    decode (∞ is asserted bit-identical to `recognize`).
-//! 3. **Router throughput** — N concurrent homes streaming in lockstep
-//!    rounds over all cores; reports aggregate ticks/second.
+//! 3. **Router throughput** — N concurrent homes, each with its own
+//!    session, streaming in lockstep rounds over the router's shards;
+//!    reports aggregate ticks/second.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use cace::behavior::session::train_test_split;
 use cace::behavior::{cace_grammar, generate_cace_dataset, SessionConfig};
-use cace::core::{stream_session, CaceConfig, CaceEngine, Lag, StreamRouter};
+use cace::core::{stream_session, CaceConfig, CaceEngine, Lag, ShardedRouter};
 
 fn main() {
     let grammar = cace_grammar();
@@ -99,17 +101,26 @@ fn main() {
                 .expect("one session")
         })
         .collect();
-    let mut router = StreamRouter::with_homes(&engine, homes, Lag::Fixed(lag));
+    let mut router = ShardedRouter::new();
+    router
+        .register_model("cace", Arc::new(engine))
+        .expect("fresh registry");
+    for id in 0..homes as u64 {
+        router
+            .add_home(id, "cace", Lag::Fixed(lag))
+            .expect("distinct home ids");
+    }
     let rounds = per_home.iter().map(|s| s.len()).max().unwrap_or(0);
     let mut total_ticks = 0usize;
     let t0 = Instant::now();
     for t in 0..rounds {
-        let inputs: Vec<_> = per_home
+        let round: Vec<_> = per_home
             .iter()
-            .map(|s| s.ticks.get(t).map(|tick| &tick.observed))
+            .zip(0u64..)
+            .filter_map(|(s, id)| s.ticks.get(t).map(|tick| (id, &tick.observed)))
             .collect();
-        total_ticks += inputs.iter().flatten().count();
-        router.push_round(&inputs).expect("round succeeds");
+        total_ticks += round.len();
+        router.push_round(&round).expect("every home is routed");
     }
     assert!(
         router.quarantined().is_empty(),
