@@ -43,11 +43,15 @@ pub struct PrevState {
     pub location: Option<usize>,
 }
 
+/// The most probable class and its probability. A total order, so a
+/// non-finite score (from a non-finite sensor sample) cannot panic the
+/// serving path; log-probabilities are never -0.0, so on finite input this
+/// picks the class a partial-order comparison would.
 fn top1(log_proba: &[f64]) -> (usize, f64) {
     let (idx, &lp) = log_proba
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite log-probs"))
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .expect("nonempty distribution");
     (idx, lp.exp())
 }

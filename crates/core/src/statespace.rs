@@ -52,6 +52,18 @@ pub fn location_score(
     location: SubLocation,
     mask: StateMask,
 ) -> f64 {
+    moving_location_score(observed, user, postural.is_moving(), location, mask)
+}
+
+/// [`location_score`] keyed by the only thing it reads of the posture:
+/// whether it moves.
+fn moving_location_score(
+    observed: &ObservedTick,
+    user: usize,
+    moving: bool,
+    location: SubLocation,
+    mask: StateMask,
+) -> f64 {
     if !mask.location {
         return 0.0; // modality ablated: uninformative
     }
@@ -72,7 +84,7 @@ pub fn location_score(
     // is unlikely (PIRs are motion-gated); a firing PIR mildly supports
     // co-located moving candidates.
     let room = location.room().index();
-    if postural.is_moving() {
+    if moving {
         score += if observed.room_motion[room] {
             0.3
         } else {
@@ -96,18 +108,36 @@ pub fn micro_score(
     location: usize,
     mask: StateMask,
 ) -> f64 {
+    let p = Postural::from_index(postural).expect("postural in range");
+    let l = SubLocation::from_index(location).expect("location in range");
+    classifier_score(scores, user, postural, gestural, mask)
+        + location_score(observed, user, p, l, mask)
+}
+
+/// The classifier part of [`micro_score`]: postural plus (unless ablated)
+/// gestural log-probability.
+fn classifier_score(
+    scores: &TickScores,
+    user: usize,
+    postural: usize,
+    gestural: Option<usize>,
+    mask: StateMask,
+) -> f64 {
     let mut total = scores.postural_lp[user][postural];
     if mask.gestural {
         if let (Some(g), Some(glp)) = (gestural, &scores.gestural_lp[user]) {
             total += glp[g];
         }
     }
-    let p = Postural::from_index(postural).expect("postural in range");
-    let l = SubLocation::from_index(location).expect("location in range");
-    total + location_score(observed, user, p, l, mask)
+    total
 }
 
 /// Builds the tick's inference input from (possibly pruned) candidates.
+///
+/// Scores every tuple exactly as [`micro_score`] does, but looks the
+/// location term up in a per-tick `[user][moving][location]` table: it
+/// depends on the posture only through [`Postural::is_moving`], so the
+/// table holds every value the tuples need.
 pub fn build_tick_input(
     space: &AtomSpace,
     observed: &ObservedTick,
@@ -117,12 +147,23 @@ pub fn build_tick_input(
     use_gestural: bool,
     beam: usize,
 ) -> TickInput {
+    let mut location = [[[0.0; SubLocation::COUNT]; 2]; 2];
+    for (user, table) in location.iter_mut().enumerate() {
+        for (moving, row) in table.iter_mut().enumerate() {
+            for (slot, &l) in row.iter_mut().zip(&SubLocation::ALL) {
+                *slot = moving_location_score(observed, user, moving == 1, l, mask);
+            }
+        }
+    }
+    let moving = Postural::ALL.map(Postural::is_moving);
     TickInput::from_candidates(
         space,
         pruned,
         use_gestural && mask.gestural,
         beam,
-        |u, p, g, l| micro_score(observed, scores, u, p, g, l, mask),
+        |u, p, g, l| {
+            classifier_score(scores, u, p, g, mask) + location[u][usize::from(moving[p])][l]
+        },
     )
 }
 
@@ -295,13 +336,11 @@ impl TickPreparer<'_> {
         }
         let rules_fired = match self.pruner {
             Some(pruner) => {
-                let gestural_lp: [Option<Vec<f64>>; 2] =
-                    [scores.gestural_lp[0].clone(), scores.gestural_lp[1].clone()];
                 let evidence = build_evidence(
                     self.space,
                     &observed,
                     &scores.postural_lp,
-                    &gestural_lp,
+                    &scores.gestural_lp,
                     prev,
                     &self.evidence,
                 );

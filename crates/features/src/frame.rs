@@ -1,13 +1,15 @@
 //! Frame-level feature extraction.
 
 use cace_sensing::IMU_RATE_HZ;
-use cace_signal::goertzel::goertzel_band;
-use cace_signal::stats::{
-    kurtosis, mean_abs_deviation, mean_crossings, pearson, signal_magnitude_area, skewness, Summary,
-};
+use cace_signal::goertzel::GoertzelBand;
 use cace_signal::trajectory::ImuSample;
 
 use crate::schema::FEATURE_COUNT;
+
+/// Samples per frame whose per-sample scratch (norms and tilts) lives on
+/// the stack; a longer frame spills that scratch to the heap. The paper's
+/// 1.5 s frames at the IMU rate are 75 samples.
+const STACK_SAMPLES: usize = 128;
 
 /// The 32-dimensional feature vector of one frame (see
 /// [`crate::schema::feature_names`] for the layout).
@@ -21,77 +23,144 @@ impl FeatureVector {
     ///
     /// An empty frame yields the all-zero vector (the classifier treats it
     /// as a missing observation).
+    ///
+    /// Two passes over the frame compute every statistic: the first the
+    /// per-sample norms and tilts and every sum that needs no mean, the
+    /// second every sum of deviations from a mean. Each accumulator adds
+    /// the same terms in the same order as the single-statistic helpers in
+    /// [`cace_signal::stats`] (`Iterator::sum` starts at `-0.0`, the Pearson
+    /// sums at `0.0`), so the features are bit-identical to computing each
+    /// statistic on its own. Frames up to 128 samples allocate nothing.
     pub fn from_frame(frame: &[ImuSample]) -> Self {
-        if frame.is_empty() {
+        let len = frame.len();
+        if len == 0 {
             return Self {
                 values: [0.0; FEATURE_COUNT],
             };
         }
-        let xs: Vec<f64> = frame.iter().map(|s| s.accel.x).collect();
-        let ys: Vec<f64> = frame.iter().map(|s| s.accel.y).collect();
-        let zs: Vec<f64> = frame.iter().map(|s| s.accel.z).collect();
-        let mags: Vec<f64> = frame.iter().map(|s| s.accel.norm()).collect();
+        let n = len as f64;
+        let mut stack_mags = [0.0; STACK_SAMPLES];
+        let mut stack_tilts = [0.0; STACK_SAMPLES];
+        let mut heap = Vec::new();
+        let (mags, tilts) = if len <= STACK_SAMPLES {
+            (&mut stack_mags[..len], &mut stack_tilts[..len])
+        } else {
+            heap.resize(2 * len, 0.0);
+            heap.split_at_mut(len)
+        };
 
-        let mag = Summary::of(&mags);
-        // De-meaned magnitude for spectral features: removes the gravity DC.
-        let ac: Vec<f64> = mags.iter().map(|m| m - mag.mean).collect();
-        let band = goertzel_band(&ac, IMU_RATE_HZ);
+        // Pass 1: norms, tilts (angle between the acceleration and ẑ), and
+        // the mean-free sums.
+        let (mut sum_m, mut sum_m_sq) = (-0.0, -0.0);
+        let (mut min_m, mut max_m) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut sum_x, mut sum_y, mut sum_z) = (-0.0, -0.0, -0.0);
+        let (mut sum_abs, mut sum_tilt) = (-0.0, -0.0);
+        for (i, s) in frame.iter().enumerate() {
+            let a = s.accel;
+            let m = a.norm();
+            let tilt = if m == 0.0 {
+                0.0
+            } else {
+                (a.z / m).clamp(-1.0, 1.0).acos()
+            };
+            mags[i] = m;
+            tilts[i] = tilt;
+            sum_m += m;
+            sum_m_sq += m * m;
+            min_m = min_m.min(m);
+            max_m = max_m.max(m);
+            sum_x += a.x;
+            sum_y += a.y;
+            sum_z += a.z;
+            sum_abs += a.x.abs() + a.y.abs() + a.z.abs();
+            sum_tilt += tilt;
+        }
+        let mean_m = sum_m / n;
+        let (mean_x, mean_y, mean_z) = (sum_x / n, sum_y / n, sum_z / n);
+        let mean_tilt = sum_tilt / n;
 
-        let sx = Summary::of(&xs);
-        let sy = Summary::of(&ys);
-        let sz = Summary::of(&zs);
-
-        // Tilt: angle between the mean acceleration vector and ẑ. Norms are
-        // reused from `mags` (computed identically above) rather than
-        // re-derived per sample.
-        let tilts: Vec<f64> = frame
-            .iter()
-            .zip(&mags)
-            .map(|(s, &n)| {
-                if n == 0.0 {
-                    0.0
-                } else {
-                    (s.accel.z / n).clamp(-1.0, 1.0).acos()
-                }
-            })
-            .collect();
-        let tilt = Summary::of(&tilts);
-
+        // Pass 2: deviations. The de-meaned magnitude (gravity DC removed)
+        // also feeds the spectral features.
+        let mut band = GoertzelBand::new(len, IMU_RATE_HZ);
+        let (mut dev2_m, mut dev_abs_m, mut dev3_m, mut dev4_m) = (-0.0, -0.0, -0.0, -0.0);
+        let (mut dev2_x, mut dev2_y, mut dev2_z) = (-0.0, -0.0, -0.0);
+        let (mut cov_xy, mut cov_xz, mut cov_yz) = (0.0, 0.0, 0.0);
+        let mut dev2_tilt = -0.0;
+        let mut crossings = 0usize;
+        for i in 0..len {
+            let d = mags[i] - mean_m;
+            band.push(d);
+            dev2_m += d.powi(2);
+            dev_abs_m += d.abs();
+            dev3_m += d.powi(3);
+            dev4_m += d.powi(4);
+            if i > 0 {
+                let prev = mags[i - 1];
+                let crossed = ((prev - mean_m).signum() != d.signum()) & (prev != mags[i]);
+                crossings += usize::from(crossed);
+            }
+            let a = frame[i].accel;
+            let (dx, dy, dz) = (a.x - mean_x, a.y - mean_y, a.z - mean_z);
+            dev2_x += dx.powi(2);
+            dev2_y += dy.powi(2);
+            dev2_z += dz.powi(2);
+            cov_xy += dx * dy;
+            cov_xz += dx * dz;
+            cov_yz += dy * dz;
+            dev2_tilt += (tilts[i] - mean_tilt).powi(2);
+        }
+        let band = band.finish();
+        let var_m = dev2_m / n;
+        let (var_x, var_y, var_z) = (dev2_x / n, dev2_y / n, dev2_z / n);
+        // The Pearson denominators are the axes' squared-deviation sums:
+        // squares are never -0.0, so the 0.0 and -0.0 starts agree.
+        let pearson = |cov: f64, va: f64, vb: f64| {
+            if va == 0.0 || vb == 0.0 {
+                0.0
+            } else {
+                cov / (va.sqrt() * vb.sqrt())
+            }
+        };
+        // Total order: a non-finite sample must not panic the serving path.
+        // Powers are never -0.0, so on finite input this picks the bin a
+        // partial-order comparison would.
         let (dominant_bin, dominant_power) = band
             .iter()
             .copied()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite powers"))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("band is nonempty");
 
         let mut v = [0.0; FEATURE_COUNT];
-        v[0] = mag.mean;
-        v[1] = mag.variance;
-        v[2] = mag.std_dev();
-        v[3] = mag.min;
-        v[4] = mag.max;
-        v[5] = mag.range();
-        v[6] = mag.rms;
-        v[7] = mean_abs_deviation(&mags);
-        v[8] = mean_crossings(&mags) as f64;
-        v[9] = skewness(&mags);
-        v[10] = kurtosis(&mags);
+        v[0] = mean_m;
+        v[1] = var_m;
+        v[2] = var_m.sqrt();
+        v[3] = min_m;
+        v[4] = max_m;
+        v[5] = max_m - min_m;
+        v[6] = (sum_m_sq / n).sqrt();
+        v[7] = dev_abs_m / n;
+        v[8] = crossings as f64;
+        if var_m != 0.0 {
+            v[9] = (dev3_m / n) / var_m.powf(1.5);
+            v[10] = (dev4_m / n) / (var_m * var_m) - 3.0;
+        }
         v[11..16].copy_from_slice(&band);
-        v[16] = sx.mean;
-        v[17] = sx.std_dev();
-        v[18] = sx.variance;
-        v[19] = sy.mean;
-        v[20] = sy.std_dev();
-        v[21] = sy.variance;
-        v[22] = sz.mean;
-        v[23] = sz.std_dev();
-        v[24] = sz.variance;
-        v[25] = pearson(&xs, &ys);
-        v[26] = pearson(&xs, &zs);
-        v[27] = pearson(&ys, &zs);
-        v[28] = signal_magnitude_area(&xs, &ys, &zs);
-        v[29] = tilt.mean;
-        v[30] = tilt.std_dev();
+        v[16] = mean_x;
+        v[17] = var_x.sqrt();
+        v[18] = var_x;
+        v[19] = mean_y;
+        v[20] = var_y.sqrt();
+        v[21] = var_y;
+        v[22] = mean_z;
+        v[23] = var_z.sqrt();
+        v[24] = var_z;
+        v[25] = pearson(cov_xy, dev2_x, dev2_y);
+        v[26] = pearson(cov_xz, dev2_x, dev2_z);
+        v[27] = pearson(cov_yz, dev2_y, dev2_z);
+        v[28] = sum_abs / n;
+        v[29] = mean_tilt;
+        v[30] = (dev2_tilt / n).sqrt();
         v[31] = if dominant_power > 1e-12 {
             (dominant_bin + 1) as f64
         } else {

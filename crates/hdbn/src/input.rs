@@ -42,6 +42,13 @@ impl TickInput {
     /// highest-scoring tuples — the beam that keeps the *unpruned* strategies
     /// finite (the paper's NH strategy similarly bounds its state space by
     /// classifier hypotheses).
+    ///
+    /// Kept candidates are ordered by log-likelihood, descending, with ties
+    /// broken by `(postural, gestural, location)` ascending. Tuples are
+    /// scored in exactly that lexicographic order, so this is the order a
+    /// stable sort by score would give; being a total order, it lets a
+    /// partial selection find the top `max_candidates` without sorting the
+    /// rest. Ties are common: a dropped frame scores uniformly.
     pub fn from_candidates<F>(
         space: &AtomSpace,
         pruned: &[UserCandidates; 2],
@@ -52,29 +59,39 @@ impl TickInput {
     where
         F: FnMut(usize, usize, Option<usize>, usize) -> f64,
     {
+        fn allowed(dim: &[bool]) -> impl Iterator<Item = usize> + Clone + '_ {
+            dim.iter()
+                .enumerate()
+                .filter(|&(_, &ok)| ok)
+                .map(|(i, _)| i)
+        }
+        let rank = |a: &MicroCandidate, b: &MicroCandidate| {
+            b.obs_loglik.total_cmp(&a.obs_loglik).then_with(|| {
+                (a.postural, a.gestural, a.location).cmp(&(b.postural, b.gestural, b.location))
+            })
+        };
+        let keep = max_candidates.max(1);
         let mut out = TickInput::default();
         for u in 0..2 {
             let cand = &pruned[u];
-            let posturals = UserCandidates::allowed(&cand.posturals);
-            let gesturals: Vec<Option<usize>> = if use_gestural {
-                UserCandidates::allowed(&cand.gesturals)
-                    .into_iter()
-                    .map(Some)
-                    .collect()
-            } else {
-                vec![None]
-            };
-            let locations = UserCandidates::allowed(&cand.locations);
-            let mut tuples =
-                Vec::with_capacity(posturals.len() * gesturals.len() * locations.len());
-            for &p in &posturals {
-                for &g in &gesturals {
-                    for &l in &locations {
+            // The gestural dimension, or one `None` when it is collapsed.
+            let gesturals = allowed(&cand.gesturals)
+                .filter(move |_| use_gestural)
+                .map(Some)
+                .chain((!use_gestural).then_some(None));
+            let mut tuples = Vec::with_capacity(
+                allowed(&cand.posturals).count()
+                    * gesturals.clone().count()
+                    * allowed(&cand.locations).count(),
+            );
+            for p in allowed(&cand.posturals) {
+                for g in gesturals.clone() {
+                    for l in allowed(&cand.locations) {
                         // A NaN log-lik (degenerate classifier, adversarial
                         // feature vector) is clamped to -inf at ingestion —
                         // the same convention `Scalar::from_f64` uses — so it
                         // ranks below every finite candidate instead of
-                        // poisoning the sort or the decode kernels.
+                        // poisoning the ranking or the decode kernels.
                         let raw = score(u, p, g, l);
                         let obs_loglik = if raw.is_nan() { f64::NEG_INFINITY } else { raw };
                         tuples.push(MicroCandidate {
@@ -86,16 +103,16 @@ impl TickInput {
                     }
                 }
             }
-            tuples.sort_by(|a, b| b.obs_loglik.total_cmp(&a.obs_loglik));
-            tuples.truncate(max_candidates.max(1));
+            if tuples.len() > keep {
+                tuples.select_nth_unstable_by(keep - 1, rank);
+                tuples.truncate(keep);
+            }
+            tuples.sort_unstable_by(rank);
             out.candidates[u] = tuples;
 
-            let macros = UserCandidates::allowed(&cand.macros);
-            out.macro_candidates[u] = if macros.len() == space.n_macro {
-                None
-            } else {
-                Some(macros)
-            };
+            let n_macros = allowed(&cand.macros).count();
+            out.macro_candidates[u] =
+                (n_macros != space.n_macro).then(|| allowed(&cand.macros).collect());
         }
         out
     }

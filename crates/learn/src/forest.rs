@@ -119,7 +119,7 @@ impl RandomForest {
     pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
         let mut acc = vec![0.0; self.n_classes];
         for tree in &self.trees {
-            for (a, p) in acc.iter_mut().zip(tree.predict_proba(x)) {
+            for (a, p) in acc.iter_mut().zip(tree.leaf_proba(x)) {
                 *a += p;
             }
         }

@@ -172,15 +172,57 @@ pub struct PruneReport {
 }
 
 /// The deterministic pruning engine.
+///
+/// Construction indexes the rule set once, so a tick only visits the rules
+/// its evidence can fire: positive rules by their first antecedent item
+/// (a rule fires only if that item is in evidence), negative rules by
+/// their trigger.
 #[derive(Debug, Clone)]
 pub struct PruningEngine {
     rules: RuleSet,
+    /// `(first antecedent item, rule index)`, sorted.
+    by_first_item: Vec<(ItemId, u32)>,
+    /// Indices of the positive rules with an empty antecedent, which fire
+    /// on any evidence.
+    unconditional: Vec<u32>,
+    /// `(trigger item, negative rule index)`, sorted.
+    by_trigger: Vec<(ItemId, u32)>,
+}
+
+/// The rule indices filed under `item` in a sorted `(item, index)` list.
+fn filed_under(index: &[(ItemId, u32)], item: ItemId) -> impl Iterator<Item = u32> + '_ {
+    let start = index.partition_point(|&(key, _)| key < item);
+    index[start..]
+        .iter()
+        .take_while(move |&&(key, _)| key == item)
+        .map(|&(_, rule)| rule)
 }
 
 impl PruningEngine {
-    /// Wraps a mined (or user-provided) rule set.
+    /// Wraps a mined (or user-provided) rule set and indexes it.
     pub fn new(rules: RuleSet) -> Self {
-        Self { rules }
+        let mut by_first_item = Vec::new();
+        let mut unconditional = Vec::new();
+        for (r, rule) in rules.rules().iter().enumerate() {
+            match rule.antecedent.first() {
+                Some(&first) => by_first_item.push((first, r as u32)),
+                None => unconditional.push(r as u32),
+            }
+        }
+        let mut by_trigger: Vec<(ItemId, u32)> = rules
+            .negatives()
+            .iter()
+            .enumerate()
+            .map(|(r, neg)| (neg.if_item, r as u32))
+            .collect();
+        by_first_item.sort_unstable();
+        by_trigger.sort_unstable();
+        Self {
+            rules,
+            by_first_item,
+            unconditional,
+            by_trigger,
+        }
     }
 
     /// The rule set in use.
@@ -194,12 +236,35 @@ impl PruningEngine {
     /// (observed micro states at `t` and the committed states at `t − 1`).
     /// Iterates to a fixed point (rules can cascade, as in the paper's
     /// living-room example where a location rule enables a macro rule).
+    ///
+    /// Rules apply in rule-set order — positives, then negatives, in each
+    /// pass — because restrictions do not commute (a restriction that
+    /// contradicts an earlier one is refused). The index only narrows
+    /// which rules are visited, never their order.
     pub fn prune(&self, evidence: &[ItemId], tick: &mut CandidateTick) -> PruneReport {
         debug_assert!(
             evidence.windows(2).all(|w| w[0] <= w[1]),
             "evidence must be sorted"
         );
-        let space = self.rules.space().clone();
+        let space = self.rules.space();
+        // Evidence is fixed for the whole call, so the firing rules are
+        // found once, then sorted back into rule order. The buffers are
+        // sized for the handful of rules a tick fires, so they rarely grow.
+        let mut positives = Vec::with_capacity(self.unconditional.len() + 32);
+        positives.extend_from_slice(&self.unconditional);
+        let mut negatives = Vec::with_capacity(32);
+        for &item in evidence {
+            positives.extend(
+                filed_under(&self.by_first_item, item)
+                    .filter(|&r| self.rules.rules()[r as usize].fires_on(evidence)),
+            );
+            negatives.extend(filed_under(&self.by_trigger, item));
+        }
+        positives.sort_unstable();
+        positives.dedup();
+        negatives.sort_unstable();
+        negatives.dedup();
+
         let mut report = PruneReport::default();
         // Two passes reach the fixed point for cascades whose intermediate
         // conclusions are candidate restrictions (deeper chains would need
@@ -207,34 +272,30 @@ impl PruningEngine {
         // observed facts count as evidence).
         for _ in 0..2 {
             let mut changed = false;
-            for rule in self.rules.rules() {
-                if !rule.fires_on(evidence) {
-                    continue;
-                }
+            for &r in &positives {
+                let rule = &self.rules.rules()[r as usize];
                 let Some(item) = space.decode(rule.consequent) else {
                     continue;
                 };
                 if item.lag != 0 {
                     continue; // past-state consequents carry no runtime prune
                 }
-                let removed = tick.users[item.user as usize].restrict(&space, item.atom);
+                let removed = tick.users[item.user as usize].restrict(space, item.atom);
                 if removed > 0 {
                     report.positive_fired += 1;
                     report.removed += removed;
                     changed = true;
                 }
             }
-            for neg in self.rules.negatives() {
-                if evidence.binary_search(&neg.if_item).is_err() {
-                    continue;
-                }
+            for &r in &negatives {
+                let neg = &self.rules.negatives()[r as usize];
                 let Some(item) = space.decode(neg.then_not) else {
                     continue;
                 };
                 if item.lag != 0 {
                     continue;
                 }
-                if tick.users[item.user as usize].forbid(&space, item.atom) {
+                if tick.users[item.user as usize].forbid(space, item.atom) {
                     report.negative_fired += 1;
                     report.removed += 1;
                     changed = true;

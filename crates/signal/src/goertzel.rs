@@ -58,40 +58,81 @@ pub fn goertzel_power(signal: &[f64], target_hz: f64, sample_rate_hz: f64) -> f6
 /// # Panics
 /// As [`goertzel_power`], for each bin in ascending order.
 pub fn goertzel_band(signal: &[f64], sample_rate_hz: f64) -> [f64; 5] {
-    for i in 0..5 {
-        let target_hz = (i + 1) as f64;
-        assert!(sample_rate_hz > 0.0, "sample rate must be positive");
-        assert!(
-            (0.0..=sample_rate_hz / 2.0).contains(&target_hz),
-            "target frequency {target_hz} outside [0, Nyquist]"
-        );
-    }
-    if signal.is_empty() {
-        return [0.0; 5];
-    }
-    let n = signal.len() as f64;
-    let mut coeff = [0.0_f64; 5];
-    for (i, c) in coeff.iter_mut().enumerate() {
-        let k = (n * (i + 1) as f64 / sample_rate_hz).round();
-        let omega = 2.0 * std::f64::consts::PI * k / n;
-        *c = 2.0 * omega.cos();
-    }
-    let mut s_prev = [0.0_f64; 5];
-    let mut s_prev2 = [0.0_f64; 5];
+    let mut band = GoertzelBand::new(signal.len(), sample_rate_hz);
     for &x in signal {
+        band.push(x);
+    }
+    band.finish()
+}
+
+/// [`goertzel_band`] fed one sample at a time, so a caller that derives
+/// the signal on the fly (the frame-feature kernel de-means magnitudes in
+/// the same pass as its other statistics) never stores it.
+///
+/// The signal length must be known up front: it fixes each bin's
+/// coefficient.
+#[derive(Debug, Clone, Copy)]
+pub struct GoertzelBand {
+    len: usize,
+    coeff: [f64; 5],
+    s_prev: [f64; 5],
+    s_prev2: [f64; 5],
+}
+
+impl GoertzelBand {
+    /// Starts the five 1–5 Hz recurrences for a signal of `len` samples.
+    ///
+    /// # Panics
+    /// As [`goertzel_power`], for each bin in ascending order.
+    pub fn new(len: usize, sample_rate_hz: f64) -> Self {
         for i in 0..5 {
-            let s = x + coeff[i] * s_prev[i] - s_prev2[i];
-            s_prev2[i] = s_prev[i];
-            s_prev[i] = s;
+            let target_hz = (i + 1) as f64;
+            assert!(sample_rate_hz > 0.0, "sample rate must be positive");
+            assert!(
+                (0.0..=sample_rate_hz / 2.0).contains(&target_hz),
+                "target frequency {target_hz} outside [0, Nyquist]"
+            );
+        }
+        let n = len as f64;
+        let mut coeff = [0.0_f64; 5];
+        for (i, c) in coeff.iter_mut().enumerate() {
+            let k = (n * (i + 1) as f64 / sample_rate_hz).round();
+            let omega = 2.0 * std::f64::consts::PI * k / n;
+            *c = 2.0 * omega.cos();
+        }
+        Self {
+            len,
+            coeff,
+            s_prev: [0.0; 5],
+            s_prev2: [0.0; 5],
         }
     }
-    let mut out = [0.0; 5];
-    for i in 0..5 {
-        let power =
-            s_prev[i] * s_prev[i] + s_prev2[i] * s_prev2[i] - coeff[i] * s_prev[i] * s_prev2[i];
-        out[i] = power / (n * n);
+
+    /// Advances every recurrence by the next sample.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        for i in 0..5 {
+            let s = x + self.coeff[i] * self.s_prev[i] - self.s_prev2[i];
+            self.s_prev2[i] = self.s_prev[i];
+            self.s_prev[i] = s;
+        }
     }
-    out
+
+    /// The five length-normalized powers (all zero for an empty signal).
+    pub fn finish(&self) -> [f64; 5] {
+        if self.len == 0 {
+            return [0.0; 5];
+        }
+        let n = self.len as f64;
+        let (s_prev, s_prev2, coeff) = (&self.s_prev, &self.s_prev2, &self.coeff);
+        let mut out = [0.0; 5];
+        for i in 0..5 {
+            let power =
+                s_prev[i] * s_prev[i] + s_prev2[i] * s_prev2[i] - coeff[i] * s_prev[i] * s_prev2[i];
+            out[i] = power / (n * n);
+        }
+        out
+    }
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod naive;
+pub mod oracle;
 pub mod toy;
 
 use cace_behavior::session::train_test_split;

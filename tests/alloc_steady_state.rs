@@ -14,15 +14,20 @@
 //! pre-sizes it, which is what a serving loop with a known session length
 //! would do (and what keeps this assertion exact rather than probabilistic
 //! about `Vec` growth boundaries).
+//!
+//! Above the decoder, warmed frame-feature extraction is gated at zero
+//! allocations, and a warmed engine-level `StreamingRecognizer::push` on
+//! the tiny C2 model at a ceiling that only ever moves down.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cace::core::{CaceConfig, CaceEngine, Strategy};
 use cace::hdbn::{
     Beam, CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SingleHdbn,
     TickInput,
 };
-use cace_testkit::{toy_glitchy_ticks, toy_two_activity_params};
+use cace_testkit::{tiny_corpus, toy_glitchy_ticks, toy_two_activity_params};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -161,4 +166,69 @@ fn topk_cases_actually_prune_in_steady_state() {
     assert!(Beam::TopK(4).select_log(&frontier, &mut scratch));
     assert_eq!(scratch.keep().len(), 4);
     assert!(path.log_prob.is_finite());
+}
+
+/// Ticks of a tiny session pushed before engine-level allocations are
+/// counted: the decoder window and its buffers reach steady size first.
+const ENGINE_WARMUP: usize = 16;
+
+/// The serving-sized tiny C2 model (exact lane, whatever the environment
+/// asks of the test fixtures) and one held-out session.
+fn tiny_c2() -> (CaceEngine, cace::behavior::Session) {
+    let (train, mut test) = tiny_corpus(6, 60, 4117);
+    let config = CaceConfig::default().with_strategy(Strategy::CorrelationConstraint);
+    let engine = CaceEngine::train(&train, &config).expect("tiny model trains");
+    (engine, test.swap_remove(0))
+}
+
+/// Frame features of a warmed tick allocate nothing: the feature kernel
+/// keeps its per-sample scratch on the stack.
+#[test]
+fn warmed_feature_extraction_allocates_nothing() {
+    let (_, session) = tiny_c2();
+    for tick in &session.ticks[..ENGINE_WARMUP] {
+        std::hint::black_box(cace::features::extract_tick(&tick.observed));
+    }
+    let allocs = count_allocs(|| {
+        for tick in &session.ticks[ENGINE_WARMUP..] {
+            std::hint::black_box(cace::features::extract_tick(&tick.observed));
+        }
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "extract_tick must be allocation-free ({allocs} allocations over {} ticks)",
+        session.len() - ENGINE_WARMUP
+    );
+}
+
+/// Ceiling on the mean heap allocations of one warmed engine-level push on
+/// the tiny C2 model. This is the count the indexed pruner, the top-k beam,
+/// borrowed forest leaves and the stack feature kernel leave; the rest is
+/// per-tick candidate sets, classifier score vectors and the decoder's
+/// history. The target is 0.
+const ENGINE_PUSH_ALLOC_CEILING: u64 = 20;
+
+#[test]
+fn warmed_engine_push_stays_under_its_allocation_ceiling() {
+    let (engine, session) = tiny_c2();
+    let mut stream = engine.stream(Lag::Fixed(5));
+    for tick in &session.ticks[..ENGINE_WARMUP] {
+        stream.push(&tick.observed).expect("warmup push");
+    }
+    let measured = (session.len() - ENGINE_WARMUP) as u64;
+    let allocs = count_allocs(|| {
+        for tick in &session.ticks[ENGINE_WARMUP..] {
+            stream.push(&tick.observed).expect("measured push");
+        }
+    });
+    eprintln!("engine push: {allocs} allocations over {measured} ticks");
+    assert!(
+        allocs <= ENGINE_PUSH_ALLOC_CEILING * measured,
+        "warmed engine push allocates {:.2} times per tick, above the ceiling of \
+         {ENGINE_PUSH_ALLOC_CEILING} ({allocs} over {measured} ticks)",
+        allocs as f64 / measured as f64
+    );
+    let rec = stream.finish().expect("stream finishes");
+    assert_eq!(rec.macros[0].len(), session.len());
 }

@@ -324,6 +324,56 @@ fn tampered_parked_bytes_quarantine_the_home_without_panicking() {
     }
 }
 
+/// A single non-finite accelerometer sample (NaN, +inf or -inf) in one
+/// home's IMU frames must not panic the fleet: the feature kernel and the
+/// evidence builder rank by total orders, so the bad home keeps being
+/// served and every other home stays bit-identical to a dedicated stream.
+#[test]
+fn non_finite_imu_samples_do_not_panic_the_fleet() {
+    let (engine, test) = fleet(40, 17);
+    let lag = Lag::Fixed(6);
+    let mut poisoned = test[0].clone();
+    for (t, tick) in poisoned.ticks.iter_mut().enumerate().skip(5) {
+        for user in &mut tick.observed.per_user {
+            for frame in [&mut user.phone, &mut user.tag].into_iter().flatten() {
+                let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][t % 3];
+                let len = frame.len();
+                match t % 4 {
+                    0 => frame[0].accel.x = bad,
+                    1 => frame[len / 2].accel.y = bad,
+                    2 => frame[len - 1].accel.z = bad,
+                    _ => frame.iter_mut().for_each(|s| s.accel.z = bad),
+                }
+            }
+        }
+    }
+    let homes: Vec<(u64, &Session)> =
+        vec![(1, &poisoned), (2, &test[0]), (3, &test[test.len() - 1])];
+    let mut router = router_with_homes(&engine, &[1, 2, 3], lag, 2, None);
+    let mut decisions: Vec<Vec<StreamDecision>> = vec![Vec::new(); homes.len()];
+    for t in 0..poisoned.len() {
+        let round: Vec<(u64, &ObservedTick)> = homes
+            .iter()
+            .map(|(id, s)| (*id, &s.ticks[t].observed))
+            .collect();
+        let outcomes = router.push_round(&round).expect("all ids are routed");
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                HomeRound::Advanced(d) => decisions[i].extend(d),
+                other => assert_eq!(i, 0, "healthy home {i}: unexpected {other:?}"),
+            }
+        }
+    }
+    let finals = router.finish();
+    for (i, (id, session)) in homes.iter().enumerate().skip(1) {
+        let (want_decisions, want) = stream_session(&engine, session, lag).expect("dedicated");
+        assert_eq!(decisions[i], want_decisions, "home {id}: routed decisions");
+        let (_, got) = finals.iter().find(|(h, _)| h == id).expect("home finishes");
+        let got = got.as_ref().expect("healthy home finishes");
+        assert_recognitions_identical(got, &want, &format!("home {id} beside a bad home"));
+    }
+}
+
 #[test]
 fn duplicate_home_ids_are_rejected_by_both_router_tiers() {
     // Both ways into the router — a fresh home and an imported one —
