@@ -29,7 +29,7 @@ use cace_behavior::{generate_casas_dataset, CasasConfig};
 use cace_bench::perf::{self, PerfRecord};
 use cace_bench::{header, trained};
 use cace_core::{DecoderConfig, Strategy};
-use cace_hdbn::{CoupledHdbn, Lag, OnlineCoupledViterbi, TickInput};
+use cace_hdbn::{Beam, CoupledHdbn, Lag, OnlineCoupledViterbi, TickInput};
 use cace_testkit::naive::naive_coupled_viterbi;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -110,12 +110,12 @@ fn bench(c: &mut Criterion) {
     // ---------- Batch decode: dense tables + arena vs naive ----------
     let table_decoder = CoupledHdbn::from_shared(Arc::clone(&params));
     let table_path = table_decoder.viterbi(&inputs).expect("table decode");
-    let (naive_macros, naive_lp) = naive_coupled_viterbi(&params, &inputs);
+    let naive_path = naive_coupled_viterbi(&params, &inputs, Beam::Exact);
     assert_eq!(
-        table_path.macros, naive_macros,
+        table_path, naive_path,
         "table and naive decoders must agree before being compared"
     );
-    assert_eq!(table_path.log_prob.to_bits(), naive_lp.to_bits());
+    assert_eq!(table_path.log_prob.to_bits(), naive_path.log_prob.to_bits());
 
     let repeats = 5;
     let table_ns = best_per_tick_ns(n_ticks, repeats, || {
@@ -125,6 +125,7 @@ fn bench(c: &mut Criterion) {
         black_box(naive_coupled_viterbi(
             black_box(&params),
             black_box(&inputs),
+            Beam::Exact,
         ));
     });
     let speedup = naive_ns / table_ns.max(1e-9);
@@ -209,6 +210,7 @@ fn bench(c: &mut Criterion) {
             black_box(naive_coupled_viterbi(
                 black_box(&params),
                 black_box(&inputs),
+                Beam::Exact,
             ))
         })
     });

@@ -1,14 +1,12 @@
 //! The CACE engine: training and run-time recognition.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use cace_baselines::Hmm;
 use cace_behavior::Session;
 use cace_features::SessionFeatures;
 use cace_hdbn::{
-    fit_em_shared as hdbn_fit_em_shared, trellis, BeamScratch, CoupledHdbn, DecoderConfig,
-    EmConfig, HdbnConfig, HdbnParams, Precision, SingleHdbn, StepScratch, TickInput,
+    fit_em_shared as hdbn_fit_em_shared, DecoderConfig, EmConfig, HdbnConfig, HdbnParams, Lag,
+    TickInput,
 };
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
 use cace_mining::rules::mine_negative_rules;
@@ -161,7 +159,6 @@ pub struct CaceEngine {
     pub(crate) stats: HierarchicalStats,
     pub(crate) params: Arc<HdbnParams>,
     pub(crate) nh_log_trans: nh::FlatTable,
-    pub(crate) nh_hmm: Hmm,
 }
 
 impl CaceEngine {
@@ -169,7 +166,9 @@ impl CaceEngine {
     ///
     /// # Errors
     /// Propagates classifier, miner, and parameter-construction failures;
-    /// rejects an empty training set.
+    /// rejects an empty training set, and rejects with
+    /// [`ModelError::InvalidConfig`] any activity label outside the first
+    /// session's `n_activities` vocabulary.
     pub fn train(sessions: &[Session], config: &CaceConfig) -> Result<Self, ModelError> {
         let Some(first) = sessions.first() else {
             return Err(ModelError::InsufficientData {
@@ -179,6 +178,16 @@ impl CaceEngine {
             });
         };
         let n_macro = first.n_activities;
+        for (i, session) in sessions.iter().enumerate() {
+            for (t, tick) in session.ticks.iter().enumerate() {
+                if let Some(&label) = tick.labels.iter().find(|&&l| l >= n_macro) {
+                    return Err(ModelError::InvalidConfig(format!(
+                        "training session {i}, tick {t}: activity label {label} is outside \
+                         the {n_macro}-activity vocabulary"
+                    )));
+                }
+            }
+        }
         let has_gestural = first.has_gestural;
         let space = AtomSpace {
             n_macro,
@@ -333,12 +342,11 @@ impl CaceEngine {
         };
         let params = HdbnParams::new(stats.clone(), hdbn_config)?;
 
-        // NH flat transition table + macro HMM.
+        // NH flat transition table.
         let label_seqs: Vec<Vec<usize>> = sessions
             .iter()
             .flat_map(|s| [s.labels_of(0), s.labels_of(1)])
             .collect();
-        let nh_hmm = Hmm::fit(&label_seqs, n_macro, 0.5)?;
         let nh_log_trans = {
             let mut table = vec![vec![0.0; n_macro]; n_macro];
             let mut counts = vec![vec![0.5f64; n_macro]; n_macro];
@@ -367,7 +375,6 @@ impl CaceEngine {
             stats,
             params: Arc::new(params),
             nh_log_trans,
-            nh_hmm,
         };
 
         // Optional EM refinement over the training tick inputs. The initial
@@ -375,10 +382,11 @@ impl CaceEngine {
         // from; EM's E-step fans sequences across cores and only the
         // M-step allocates fresh tables.
         if config.run_em && config.strategy.hierarchical() {
+            let preparer = engine.tick_preparer(config.beam, false);
             let em_inputs: Vec<Vec<TickInput>> = sessions
                 .iter()
                 .zip(&features)
-                .map(|(s, f)| engine.tick_inputs_unpruned(s, f, config.beam))
+                .map(|(s, f)| prepare_session(&preparer, s, f))
                 .collect();
             let outcome = hdbn_fit_em_shared(Arc::clone(&engine.params), &em_inputs, &config.em)?;
             engine.params = Arc::new(outcome.params);
@@ -403,22 +411,12 @@ impl CaceEngine {
     /// feed its trellis for `session` — pruned with the standard beam for
     /// NCR/C2, unpruned for NCS, unpruned with the NH beam for NH.
     ///
-    /// This is the batch pipeline up to (but not including) the decoder,
-    /// exposed so differential suites and benches can drive reference
-    /// decoders over exactly the engine's state spaces.
+    /// This is the recognition pipeline up to (but not including) the
+    /// decoder, exposed so differential suites and benches can drive
+    /// reference decoders over exactly the engine's state spaces.
     pub fn tick_inputs(&self, session: &Session) -> Vec<TickInput> {
         let features = cace_features::extract_session(session);
-        match self.config.strategy {
-            Strategy::NaiveHmm => {
-                self.tick_inputs_unpruned(session, &features, self.config.nh_beam)
-            }
-            Strategy::NaiveConstraint => {
-                self.tick_inputs_unpruned(session, &features, self.config.beam)
-            }
-            Strategy::NaiveCorrelation | Strategy::CorrelationConstraint => {
-                self.tick_inputs_pruned(session, &features).0
-            }
-        }
+        prepare_session(&self.runtime_preparer(), session, &features)
     }
 
     /// The constraint-mined statistics.
@@ -459,7 +457,7 @@ impl CaceEngine {
     /// re-estimates CPTs from drift windows
     /// ([`cace_hdbn::DriftAccumulator::reestimate`]) and this grafts the
     /// result onto the trained engine. Everything not re-estimated —
-    /// classifiers, mined rules, pruning engine, NH baseline tables,
+    /// classifiers, mined rules, pruning engine, NH transition table,
     /// atom space — is shared unchanged, so the new engine drops into a
     /// live fleet exactly like the one it replaces.
     ///
@@ -541,270 +539,36 @@ impl CaceEngine {
         }
     }
 
-    /// Builds unpruned tick inputs (used by EM, NCS, and — with its larger
-    /// beam — NH).
-    fn tick_inputs_unpruned(
-        &self,
-        session: &Session,
-        features: &SessionFeatures,
-        beam: usize,
-    ) -> Vec<TickInput> {
-        let preparer = self.tick_preparer(beam, false);
-        let mut prev = [PrevState::default(), PrevState::default()];
-        (0..session.len())
-            .map(|t| {
-                preparer
-                    .prepare(&session.ticks[t].observed, &features.per_tick[t], &mut prev)
-                    .input
-            })
-            .collect()
-    }
-
-    /// Builds pruned tick inputs, returning (inputs, joint sizes, firings).
-    fn tick_inputs_pruned(
-        &self,
-        session: &Session,
-        features: &SessionFeatures,
-    ) -> (Vec<TickInput>, Vec<u128>, u64) {
-        let preparer = self.tick_preparer(self.config.beam, true);
-        let mut prev = [PrevState::default(), PrevState::default()];
-        let mut inputs = Vec::with_capacity(session.len());
-        let mut joint_sizes = Vec::with_capacity(session.len());
-        let mut fired = 0u64;
-        for t in 0..session.len() {
-            let prepared =
-                preparer.prepare(&session.ticks[t].observed, &features.per_tick[t], &mut prev);
-            fired += prepared.rules_fired;
-            joint_sizes.push(prepared.joint_size);
-            inputs.push(prepared.input);
-        }
-        (inputs, joint_sizes, fired)
-    }
-
-    /// Runs recognition on one session.
+    /// Runs recognition on one session: the stream at [`Lag::Unbounded`]
+    /// run to the end. Every tick goes through
+    /// [`StreamingRecognizer::push`](crate::StreamingRecognizer::push) —
+    /// the serving path's features, preparation, decoder step, and
+    /// overhead books — and [`finish`](crate::StreamingRecognizer::finish)
+    /// backtracks the full trellis, so batch and stream are one code path
+    /// for every strategy.
     ///
     /// # Errors
-    /// Propagates decoding failures (e.g. emptied state spaces).
+    /// Propagates decoding failures (e.g. emptied state spaces), and
+    /// [`ModelError::InsufficientData`] for an empty session.
     pub fn recognize(&self, session: &Session) -> Result<Recognition, ModelError> {
-        let start = Instant::now();
-        let features = cace_features::extract_session(session);
-
-        let result = match self.config.strategy {
-            Strategy::NaiveHmm => self.recognize_nh(session, &features),
-            Strategy::NaiveCorrelation => {
-                let (inputs, sizes, fired) = self.tick_inputs_pruned(session, &features);
-                let model = SingleHdbn::from_shared(Arc::clone(&self.params))
-                    .with_decoder(self.config.decoder);
-                let mut states = 0u64;
-                let mut ops = 0u64;
-                let mut macros: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-                for u in 0..2 {
-                    let path = model.viterbi(&inputs, u)?;
-                    states += path.states_explored;
-                    if self.config.decoder.beam.never_prunes(self.frontier_bound()) {
-                        // Historical input-size convention for the exact
-                        // decoder: single-chain transition work is |S|² per
-                        // tick.
-                        ops += inputs
-                            .windows(2)
-                            .map(|w| {
-                                (w[0].joint_states(self.n_macro) as f64).sqrt() as u64
-                                    * (w[1].joint_states(self.n_macro) as f64).sqrt() as u64
-                            })
-                            .sum::<u64>();
-                    } else {
-                        // Under a beam, report the decoder's own count so
-                        // the overhead tables reflect the pruned frontier.
-                        ops += path.transition_ops;
-                    }
-                    macros[u] = path.macros;
-                }
-                Ok((macros, states, ops, sizes, fired))
-            }
-            Strategy::NaiveConstraint => {
-                let inputs = self.tick_inputs_unpruned(session, &features, self.config.beam);
-                let sizes: Vec<u128> = inputs
-                    .iter()
-                    .map(|i| i.joint_states(self.n_macro) as u128)
-                    .collect();
-                let model = CoupledHdbn::from_shared(Arc::clone(&self.params))
-                    .with_decoder(self.config.decoder);
-                let path = model.viterbi(&inputs)?;
-                Ok((
-                    path.macros,
-                    path.states_explored,
-                    path.transition_ops,
-                    sizes,
-                    0,
-                ))
-            }
-            Strategy::CorrelationConstraint => {
-                let (inputs, sizes, fired) = self.tick_inputs_pruned(session, &features);
-                let model = CoupledHdbn::from_shared(Arc::clone(&self.params))
-                    .with_decoder(self.config.decoder);
-                let path = model.viterbi(&inputs)?;
-                Ok((
-                    path.macros,
-                    path.states_explored,
-                    path.transition_ops,
-                    sizes,
-                    fired,
-                ))
-            }
-        };
-        let (macros, states_explored, transition_ops, joint_sizes, rules_fired) = result?;
-
-        let mean_joint_size = if joint_sizes.is_empty() {
-            0.0
-        } else {
-            joint_sizes.iter().map(|&s| s as f64).sum::<f64>() / joint_sizes.len() as f64
-        };
-        Ok(Recognition {
-            macros,
-            states_explored,
-            transition_ops,
-            wall_seconds: start.elapsed().as_secs_f64(),
-            mean_joint_size,
-            rules_fired,
-        })
+        crate::stream::stream_session(self, session, Lag::Unbounded).map(|(_, rec)| rec)
     }
+}
 
-    /// NH: exhaustive flat product HMM per user.
-    #[allow(clippy::type_complexity)]
-    fn recognize_nh(
-        &self,
-        session: &Session,
-        features: &SessionFeatures,
-    ) -> Result<([Vec<usize>; 2], u64, u64, Vec<u128>, u64), ModelError> {
-        let inputs = self.tick_inputs_unpruned(session, features, self.config.nh_beam);
-        let sizes: Vec<u128> = inputs
-            .iter()
-            .map(|i| i.joint_states(self.n_macro) as u128)
-            .collect();
-        let preparer = self.tick_preparer(self.config.nh_beam, false);
-        // Per-tick macro emissions from the direct classifier.
-        let mut all_emissions: Vec<[Vec<f64>; 2]> = (0..session.len())
-            .map(|t| preparer.nh_macro_emissions(&features.per_tick[t]))
-            .collect();
-        let mut macros: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-        let mut states = 0u64;
-        let mut ops = 0u64;
-        for u in 0..2 {
-            let emissions: Vec<Vec<f64>> = all_emissions
-                .iter_mut()
-                .map(|e| std::mem::take(&mut e[u]))
-                .collect();
-            let (path, s, o) = self.flat_product_viterbi(&inputs, &emissions, u)?;
-            states += s;
-            ops += o;
-            macros[u] = path;
-        }
-        Ok((macros, states, ops, sizes, 0))
-    }
-
-    /// Flat Viterbi over the (macro × micro-beam) product space with no
-    /// hierarchical structure — the "all possible states" NH decoder,
-    /// driven through the step functions in [`crate::nh`] (shared with the
-    /// streaming path). Dispatches on the configured scoring
-    /// [`Precision`] like the hierarchical decoders.
-    fn flat_product_viterbi(
-        &self,
-        inputs: &[TickInput],
-        macro_emissions: &[Vec<f64>],
-        user: usize,
-    ) -> Result<(Vec<usize>, u64, u64), ModelError> {
-        match self.config.decoder.precision {
-            Precision::Exact64 => {
-                self.flat_product_viterbi_impl::<f64>(inputs, macro_emissions, user)
-            }
-            Precision::Fast32 => {
-                self.flat_product_viterbi_impl::<f32>(inputs, macro_emissions, user)
-            }
-        }
-    }
-
-    fn flat_product_viterbi_impl<S: nh::NhScalar>(
-        &self,
-        inputs: &[TickInput],
-        macro_emissions: &[Vec<f64>],
-        user: usize,
-    ) -> Result<(Vec<usize>, u64, u64), ModelError> {
-        if inputs.is_empty() {
-            return Err(ModelError::InsufficientData {
-                what: "NH decoding".into(),
-                available: 0,
-                required: 1,
-            });
-        }
-        let n = self.n_macro;
-
-        let model = nh::FlatModel {
-            table: &self.nh_log_trans,
-        };
-        let mut all_states = vec![nh::states(&inputs[0], user, n)];
-        let mut all_emit = vec![nh::emissions(
-            &inputs[0],
-            user,
-            &all_states[0],
-            &macro_emissions[0],
-        )];
-        let mut v: Vec<S> = Vec::new();
-        trellis::init_into(
-            &model,
-            &nh::FlatView::new(&all_states[0], &all_emit[0], n),
-            &mut v,
-        );
-        let mut states_explored = all_states[0].len() as u64;
-        let mut transition_ops = 0u64;
-        let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut step: StepScratch<S> = StepScratch::default();
-
-        let beam = self.config.decoder.beam;
-        let mut scratch = BeamScratch::new();
-        let mut pruned = beam.select_log(&v, &mut scratch);
-
-        for t in 1..inputs.len() {
-            let cur = nh::states(&inputs[t], user, n);
-            let emit = nh::emissions(&inputs[t], user, &cur, &macro_emissions[t]);
-            let prev = all_states.last().expect("nonempty");
-            let prev_emit = all_emit.last().expect("nonempty");
-            states_explored += cur.len() as u64;
-            let mut back = Vec::new();
-            let pv = nh::FlatView::new(prev, prev_emit, n);
-            let cv = nh::FlatView::new(&cur, &emit, n);
-            if pruned {
-                transition_ops += (cur.len() * scratch.keep().len()) as u64;
-                trellis::step_pruned_into(
-                    &model,
-                    &pv,
-                    &v,
-                    scratch.keep(),
-                    &cv,
-                    &mut step,
-                    &mut back,
-                );
-            } else {
-                transition_ops += (cur.len() * prev.len()) as u64;
-                trellis::step_dense_into(&model, &pv, &v, &cv, &mut step, &mut back);
-            }
-            step.swap_frontier(&mut v);
-            pruned = beam.select_log(&v, &mut scratch);
-            backptrs.push(back);
-            all_states.push(cur);
-            all_emit.push(emit);
-        }
-
-        let mut j = trellis::argmax(&v).0;
-        let mut path = vec![0usize; inputs.len()];
-        for t in (0..inputs.len()).rev() {
-            path[t] = all_states[t][j].0;
-            if t > 0 {
-                j = backptrs[t][j] as usize;
-            }
-        }
-        let _ = &self.nh_hmm; // macro-only fallback kept for API completeness
-        Ok((path, states_explored, transition_ops))
-    }
+/// Maps `preparer` over a session, one decoder-ready input per tick,
+/// threading the lag-1 evidence from a fresh start.
+fn prepare_session(
+    preparer: &TickPreparer<'_>,
+    session: &Session,
+    features: &SessionFeatures,
+) -> Vec<TickInput> {
+    let mut prev = [PrevState::default(), PrevState::default()];
+    session
+        .ticks
+        .iter()
+        .zip(&features.per_tick)
+        .map(|(tick, f)| preparer.prepare(&tick.observed, f, &mut prev).input)
+        .collect()
 }
 
 #[cfg(test)]
@@ -886,6 +650,22 @@ mod tests {
             acc_b >= acc_e - 0.05,
             "beamed accuracy {acc_b} fell too far below exact {acc_e}"
         );
+    }
+
+    #[test]
+    fn out_of_range_activity_labels_are_rejected_not_a_panic() {
+        let mut sessions = dataset(3, 60, 14);
+        let n = sessions[0].n_activities;
+        sessions[1].ticks[5].labels[1] = n;
+        for strategy in Strategy::ALL {
+            let config = CaceConfig::default().with_strategy(strategy);
+            match CaceEngine::train(&sessions, &config) {
+                Err(ModelError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&format!("label {n}")), "{strategy}: {msg}")
+                }
+                other => panic!("{strategy}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

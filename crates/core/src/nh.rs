@@ -4,9 +4,9 @@
 //! NH refuses every piece of CACE structure: no hierarchy, no miners, no
 //! coupling — just a flat Viterbi over the (macro × micro-beam) product
 //! space per user, with macro emissions classified directly from frame
-//! features. The step functions here are shared between the batch decoder
-//! (`CaceEngine::recognize` under [`crate::Strategy::NaiveHmm`]) and the
-//! streaming [`OnlineFlat`] frontier, which keeps the two bit-identical.
+//! features. The step functions here drive the streaming [`OnlineFlat`]
+//! frontier, which serves NH both live and in batch
+//! (`CaceEngine::recognize` is the stream run to the end).
 //!
 //! Like the hierarchical decoders in `cace-hdbn`, NH scores through a
 //! dense flat table: [`FlatTable`] stores the macro transition matrix
@@ -511,6 +511,136 @@ impl OnlineFlat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CaceConfig, CaceEngine};
+    use crate::strategy::Strategy;
+    use cace_behavior::{
+        cace_grammar, generate_cace_dataset, session::train_test_split, SessionConfig,
+    };
+    use cace_hdbn::{Beam, BeamScratch};
+
+    /// Naive flat-product Viterbi for one user: per destination state ×
+    /// per source state, scored straight from the nested transition rows
+    /// (`rows[ap][a] = log P(a | ap)`) and the direct macro emissions —
+    /// no flat table, no slots, no generic kernel. Under a pruning `beam`
+    /// only the survivors [`Beam::select_log`] picks are scanned as
+    /// sources. Returns `(macro path, states explored, transition ops)`.
+    fn naive_flat_viterbi(
+        rows: &[Vec<f64>],
+        inputs: &[TickInput],
+        macro_lp: &[[Vec<f64>; 2]],
+        user: usize,
+        beam: Beam,
+    ) -> (Vec<usize>, u64, u64) {
+        let n = rows.len();
+        // Macro-major product states and their emissions.
+        let space = |t: usize| {
+            let input = &inputs[t];
+            let mut acts = Vec::new();
+            let mut emit = Vec::new();
+            for a in 0..n {
+                for cand in &input.candidates[user] {
+                    acts.push(a);
+                    emit.push(macro_lp[t][user][a] + input.bonus(a) + cand.obs_loglik);
+                }
+            }
+            (acts, emit)
+        };
+        let (first, mut v) = space(0);
+        let mut states = v.len() as u64;
+        let mut ops = 0u64;
+        let mut acts_per_tick = vec![first];
+        let mut backs: Vec<Vec<usize>> = vec![Vec::new()];
+        for t in 1..inputs.len() {
+            let (acts, emit) = space(t);
+            let prev = acts_per_tick.last().expect("nonempty");
+            let mut scratch = BeamScratch::new();
+            let alive: Vec<bool> = if beam.select_log(&v, &mut scratch) {
+                (0..v.len() as u32)
+                    .map(|i| scratch.keep().contains(&i))
+                    .collect()
+            } else {
+                vec![true; v.len()]
+            };
+            let n_alive = alive.iter().filter(|&&x| x).count();
+            states += acts.len() as u64;
+            ops += (n_alive * acts.len()) as u64;
+            let mut v_new = vec![f64::NEG_INFINITY; acts.len()];
+            let mut back = vec![0usize; acts.len()];
+            for (j, &a) in acts.iter().enumerate() {
+                let mut best = f64::NEG_INFINITY;
+                for (jp, &ap) in prev.iter().enumerate() {
+                    let score = v[jp] + rows[ap][a];
+                    if alive[jp] && score > best {
+                        best = score;
+                        back[j] = jp;
+                    }
+                }
+                v_new[j] = best + emit[j];
+            }
+            v = v_new;
+            acts_per_tick.push(acts);
+            backs.push(back);
+        }
+        let mut j = v
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
+            .expect("nonempty trellis")
+            .0;
+        let mut path = vec![0usize; inputs.len()];
+        for t in (0..inputs.len()).rev() {
+            path[t] = acts_per_tick[t][j];
+            if t > 0 {
+                j = backs[t][j];
+            }
+        }
+        (path, states, ops)
+    }
+
+    #[test]
+    fn nh_recognition_matches_the_naive_flat_product_reference() {
+        let sessions = generate_cace_dataset(
+            &cace_grammar(),
+            1,
+            4,
+            &SessionConfig::tiny().with_ticks(50),
+            23,
+        );
+        let (train, test) = train_test_split(sessions, 0.75);
+        let engine = CaceEngine::train(
+            &train,
+            &CaceConfig::default().with_strategy(Strategy::NaiveHmm),
+        )
+        .unwrap();
+        let rows = engine.nh_log_trans.to_rows();
+        for session in &test {
+            let features = cace_features::extract_session(session);
+            let inputs = engine.tick_inputs(session);
+            let preparer = engine.runtime_preparer();
+            let macro_lp: Vec<[Vec<f64>; 2]> = features
+                .per_tick
+                .iter()
+                .map(|f| preparer.nh_macro_emissions(f))
+                .collect();
+            for decoder in [
+                DecoderConfig::exact(),
+                DecoderConfig::top_k(40),
+                DecoderConfig::log_threshold(3.0),
+            ] {
+                let rec = engine.with_decoder(decoder).recognize(session).unwrap();
+                let (mut states, mut ops) = (0, 0);
+                for u in 0..2 {
+                    let (path, s, o) =
+                        naive_flat_viterbi(&rows, &inputs, &macro_lp, u, decoder.beam);
+                    assert_eq!(rec.macros[u], path, "{decoder:?} user {u}");
+                    states += s;
+                    ops += o;
+                }
+                assert_eq!(rec.states_explored, states, "{decoder:?}");
+                assert_eq!(rec.transition_ops, ops, "{decoder:?}");
+            }
+        }
+    }
 
     #[test]
     fn flat_table_roundtrips_and_matches_nested_lookup() {

@@ -21,7 +21,7 @@
 //! The engine payload serializes everything recognition depends on — the
 //! engine configuration, atom space, trained forests, mined rule set, the
 //! constraint miner's statistics, the (possibly EM-refined) HDBN
-//! parameters, and the NH baseline tables — through the `serde` shim's
+//! parameters, and the NH transition table — through the `serde` shim's
 //! lossless JSON backend (finite `f64`s round-trip bit-exactly; the
 //! `±inf`/`NaN` tokens cover the non-finite trellis scores a parked stream
 //! can carry). Derived artifacts are *rebuilt* on load rather than stored:
@@ -30,7 +30,9 @@
 //! output is bit-identical to the engine that was saved
 //! (`tests/persistence_roundtrip.rs` asserts this across all four
 //! strategies; `tests/streaming_equivalence.rs` asserts the parked-stream
-//! counterpart at every park position).
+//! counterpart at every park position). The reader looks fields up by
+//! name, so snapshots written by older builds that still carry the retired
+//! `nh_hmm` field load unchanged; the field is ignored.
 
 use std::fs;
 use std::path::Path;
@@ -154,7 +156,6 @@ impl CaceEngine {
                 "nh_log_trans".to_string(),
                 self.nh_log_trans.to_rows().serialize(),
             ),
-            ("nh_hmm".to_string(), self.nh_hmm.serialize()),
         ])
     }
 
@@ -220,7 +221,6 @@ impl CaceEngine {
             stats: field(payload, "stats")?,
             params: Arc::new(params),
             nh_log_trans: crate::nh::FlatTable::from_rows(&nh_rows),
-            nh_hmm: field(payload, "nh_hmm")?,
             config,
             rules,
             pruner,
@@ -667,18 +667,45 @@ mod tests {
         (engine, sessions)
     }
 
+    /// The payload an older build wrote: `payload` plus the retired
+    /// `nh_hmm` field (the macro HMM those builds fitted on the training
+    /// labels and never decoded with).
+    fn with_legacy_nh_hmm(payload: &str, train: &[cace_behavior::Session]) -> String {
+        let labels: Vec<Vec<usize>> = train
+            .iter()
+            .flat_map(|s| [s.labels_of(0), s.labels_of(1)])
+            .collect();
+        let hmm = cace_baselines::Hmm::fit(&labels, train[0].n_activities, 0.5).unwrap();
+        let field = serde::json::value_to_string(&hmm.serialize());
+        let body = payload
+            .strip_suffix('}')
+            .expect("payload is one JSON object");
+        format!("{body},\"nh_hmm\":{field}}}")
+    }
+
     #[test]
     fn snapshot_string_round_trips_with_identical_recognition() {
-        let (engine, sessions) = tiny_engine(Strategy::CorrelationConstraint);
-        let text = engine.to_snapshot_string();
-        let loaded = CaceEngine::from_snapshot_str(&text).unwrap();
-        let a = engine.recognize(&sessions[2]).unwrap();
-        let b = loaded.recognize(&sessions[2]).unwrap();
-        assert_eq!(a.macros, b.macros);
-        assert_eq!(a.states_explored, b.states_explored);
-        assert_eq!(a.transition_ops, b.transition_ops);
-        assert_eq!(a.rules_fired, b.rules_fired);
-        assert_eq!(a.mean_joint_size.to_bits(), b.mean_joint_size.to_bits());
+        for strategy in [Strategy::CorrelationConstraint, Strategy::NaiveHmm] {
+            let (engine, sessions) = tiny_engine(strategy);
+            let text = engine.to_snapshot_string();
+            let payload = text.split_once('\n').unwrap().1;
+            // A snapshot from a build that still wrote `nh_hmm` loads too
+            // (fields are looked up by name) and serves identically.
+            let legacy = reheader(&with_legacy_nh_hmm(payload, &sessions[..2]), VERSION);
+            assert!(legacy.contains("\"nh_hmm\":"));
+            let a = engine.recognize(&sessions[2]).unwrap();
+            for snapshot in [&text, &legacy] {
+                let loaded = CaceEngine::from_snapshot_str(snapshot).unwrap();
+                let b = loaded.recognize(&sessions[2]).unwrap();
+                assert_eq!(a.macros, b.macros, "{strategy:?}");
+                assert_eq!(a.states_explored, b.states_explored);
+                assert_eq!(a.transition_ops, b.transition_ops);
+                assert_eq!(a.rules_fired, b.rules_fired);
+                assert_eq!(a.mean_joint_size.to_bits(), b.mean_joint_size.to_bits());
+                // Re-saving drops the retired field.
+                assert_eq!(loaded.to_snapshot_string(), text, "{strategy:?}");
+            }
+        }
     }
 
     #[test]
@@ -737,12 +764,16 @@ mod tests {
         // discriminator, under a v2 header.
         let v2_payload = payload.replacen("{\"kind\":\"engine\",", "{", 1);
         assert_ne!(v2_payload, payload, "surgery must remove the kind field");
-        let v2 = reheader(&v2_payload, 2);
-        let loaded = CaceEngine::from_snapshot_str(&v2).unwrap();
         let a = engine.recognize(&sessions[2]).unwrap();
-        let b = loaded.recognize(&sessions[2]).unwrap();
-        assert_eq!(a.macros, b.macros);
-        assert_eq!(a.states_explored, b.states_explored);
+        // Every v2 build wrote the retired `nh_hmm` field as well.
+        let legacy_v2_payload = with_legacy_nh_hmm(&v2_payload, &sessions[..2]);
+        for v2_payload in [&v2_payload, &legacy_v2_payload] {
+            let v2 = reheader(v2_payload, 2);
+            let loaded = CaceEngine::from_snapshot_str(&v2).unwrap();
+            let b = loaded.recognize(&sessions[2]).unwrap();
+            assert_eq!(a.macros, b.macros);
+            assert_eq!(a.states_explored, b.states_explored);
+        }
 
         // But a v3 snapshot without a kind is malformed, not engine-by-
         // default: the discriminator is mandatory from v3 on.

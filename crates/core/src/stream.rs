@@ -1,26 +1,27 @@
-//! Streaming (run-time) recognition: consume sensor ticks as they arrive.
+//! Streaming (run-time) recognition: consume sensor ticks as they arrive —
+//! the engine's one recognition pipeline.
 //!
-//! [`CaceEngine::recognize`] needs the complete session upfront; a deployed
-//! smart home produces one [`ObservedTick`] per second. A
-//! [`StreamingRecognizer`] closes that gap: each
+//! A deployed smart home produces one [`ObservedTick`] per second. Each
 //! [`push`](StreamingRecognizer::push) extracts the tick's wearable
-//! features, runs the *same* per-tick preparation pipeline as the batch
-//! path ([`TickPreparer`](crate::statespace::TickPreparer)), and advances
-//! an online fixed-lag Viterbi frontier ([`cace_hdbn::online`]) by one DP
-//! step — constant decoding work per tick, a backpointer window bounded at
-//! `lag + 2` ticks, no re-decoding of the growing prefix. (The emitted
-//! decision history does accumulate, one decision per tick, so that
+//! features, runs the per-tick preparation pipeline
+//! ([`TickPreparer`](crate::statespace::TickPreparer)), keeps the
+//! strategy's overhead books, and advances an online fixed-lag Viterbi
+//! frontier ([`cace_hdbn::online`]) by one DP step — constant decoding
+//! work per tick, a backpointer window bounded at `lag + 2` ticks, no
+//! re-decoding of the growing prefix. (The emitted decision history does
+//! accumulate, one decision per tick, so that
 //! [`finish`](StreamingRecognizer::finish) can return the session-level
 //! [`Recognition`].)
 //!
-//! The smoothing [`Lag`] trades latency for accuracy: `Lag::Fixed(0)` is
-//! greedy filtering, larger lags converge on the batch answer, and
-//! [`Lag::Unbounded`] (or any lag at least the stream length) makes
-//! [`finish`](StreamingRecognizer::finish) **bit-identical** to
-//! [`CaceEngine::recognize`] — same macros, same `states_explored`, same
-//! `transition_ops`, same `rules_fired`, same `mean_joint_size` — for every
-//! strategy (NH, NCR, NCS, C2). `tests/streaming_equivalence.rs` asserts
-//! this.
+//! Batch recognition is this stream run to the end:
+//! [`CaceEngine::recognize`] opens a stream at [`Lag::Unbounded`], pushes
+//! every tick, and returns [`finish`](StreamingRecognizer::finish). The
+//! smoothing [`Lag`] trades latency for accuracy: `Lag::Fixed(0)` is
+//! greedy filtering, larger lags converge on the full-session answer, and
+//! any fixed lag at least the stream length reproduces it bit for bit —
+//! same macros, same `states_explored`, same `transition_ops`, same
+//! `rules_fired`, same `mean_joint_size` — for every strategy (NH, NCR,
+//! NCS, C2). `tests/streaming_equivalence.rs` asserts this.
 //!
 //! A live stream can also be **parked**: [`StreamingRecognizer::park`]
 //! captures the trellis frontier, backpointer window, decision cursor and
@@ -146,8 +147,7 @@ pub struct StreamingRecognizer<'a> {
     pushed: usize,
     /// Drift-capture buffer; `None` (the default) costs nothing per push.
     drift: Option<Box<DriftBuffer>>,
-    /// Running Σ per-tick joint sizes (as f64, in push order — the same
-    /// accumulation `recognize` performs over its collected vector).
+    /// Running Σ per-tick joint sizes (as f64, in push order).
     joint_size_sum: f64,
     rules_fired: u64,
     /// √joint-states of the previous tick (NCR transition accounting).
@@ -387,8 +387,8 @@ impl StreamingRecognizer<'_> {
 
         let strategy = engine.config.strategy;
         let n_macro = engine.n_macro;
-        // Per-tick joint-size accounting, matching the batch path's choice
-        // of metric per strategy.
+        // Per-tick joint-size accounting: the pruned candidate space for
+        // the correlation strategies, the decoder's input size otherwise.
         if strategy.uses_correlation_pruning() {
             self.joint_size_sum += prepared.joint_size as f64;
         } else {
@@ -512,11 +512,13 @@ impl StreamingRecognizer<'_> {
     }
 
     /// Ends the stream: resolves every not-yet-committed tick and returns
-    /// the session-level [`Recognition`].
+    /// the session-level [`Recognition`]; `wall_seconds` reports the
+    /// accumulated streaming time.
     ///
-    /// With `lag >=` the stream length (or [`Lag::Unbounded`]) the result
-    /// is bit-identical to [`CaceEngine::recognize`] on the same ticks,
-    /// except `wall_seconds`, which reports the accumulated streaming time.
+    /// Under [`Lag::Unbounded`] this *is* [`CaceEngine::recognize`] on the
+    /// pushed ticks (which runs exactly this push-then-finish loop); with a
+    /// fixed `lag >=` the stream length every deterministic field is
+    /// bit-identical to it.
     ///
     /// # Errors
     /// [`ModelError::InsufficientData`] if no tick was ever pushed.
@@ -538,10 +540,9 @@ impl StreamingRecognizer<'_> {
                 let [c0, c1] = chains;
                 let p0 = c0.finalize()?;
                 let p1 = c1.finalize()?;
-                // Mirror the batch path's choice: the |S|²-per-tick
-                // input-size convention (charged once per user) for a
-                // decoder that can never prune, the decoders' own counts
-                // under a live beam.
+                // The |S|²-per-tick input-size convention (charged once
+                // per user) for a decoder that can never prune, the
+                // decoders' own counts under a live beam.
                 let ops = if never_prunes {
                     2 * self.ncr_ops
                 } else {
@@ -702,8 +703,9 @@ impl ParkedStream {
     }
 }
 
-/// Drives a recorded session through a streaming recognizer tick by tick —
-/// the test/bench harness for batch-vs-streaming comparisons.
+/// Drives a recorded session through a streaming recognizer tick by tick:
+/// at [`Lag::Unbounded`] this is [`CaceEngine::recognize`] (which emits no
+/// mid-stream decision), at a fixed lag the run-time decision schedule.
 ///
 /// Returns the mid-stream decisions and the final [`Recognition`].
 ///
@@ -745,12 +747,16 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_stream_matches_batch_for_default_strategy() {
+    fn session_long_fixed_lag_matches_batch_for_default_strategy() {
+        // `recognize` runs the unbounded stream; a fixed lag covering the
+        // session runs the fixed-lag window bookkeeping instead and must
+        // land on the same answer.
         let (train, test) = corpus();
         let engine = CaceEngine::train(&train, &CaceConfig::default()).unwrap();
         let batch = engine.recognize(&test[0]).unwrap();
-        let (decisions, streamed) = stream_session(&engine, &test[0], Lag::Unbounded).unwrap();
-        assert!(decisions.is_empty(), "unbounded lag never emits mid-stream");
+        let lag = Lag::Fixed(test[0].len());
+        let (decisions, streamed) = stream_session(&engine, &test[0], lag).unwrap();
+        assert!(decisions.is_empty(), "lag >= len never emits mid-stream");
         assert_eq!(streamed.macros, batch.macros);
         assert_eq!(streamed.states_explored, batch.states_explored);
         assert_eq!(streamed.transition_ops, batch.transition_ops);

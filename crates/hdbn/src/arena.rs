@@ -4,11 +4,11 @@
 //! Before this module existed, every decoder had its own slice type and
 //! every DP step allocated its fold buffers fresh (`f1_col`/`f2_col` per
 //! trellis column, `w`/`w_arg` per tick, a new frontier vector per step).
-//! The arena centralizes that memory: **one allocation per decode (batch)
-//! or per stream (online), reused across ticks**, so the steady-state hot
-//! loop of a warmed online decoder performs zero heap allocations per
-//! pushed tick (`tests/alloc_steady_state.rs` counts them). The beam
-//! survivor scratch and the pruned-step group buffers of PR 4
+//! The arena centralizes that memory: **one allocation per stream (a
+//! batch decode is a stream run to the end), reused across ticks**, so
+//! the steady-state hot loop of a warmed online decoder performs zero heap
+//! allocations per pushed tick (`tests/alloc_steady_state.rs` counts
+//! them). The beam survivor scratch and the pruned-step group buffers
 //! ([`BeamScratch`], `JointScratch`) live here too, as arena fields.
 //!
 //! A `Slice` enumerates one chain's per-tick states macro-major —
@@ -229,9 +229,9 @@ impl<S> StepScratch<S> {
     }
 }
 
-/// All reusable trellis memory of one decode (batch) or one stream
-/// (online): beam survivor scratch plus step-kernel scratch, one set per
-/// scoring lane.
+/// All reusable trellis memory of one stream (or of one batch decode,
+/// which is a stream run to the end): beam survivor scratch plus
+/// step-kernel scratch, one set per scoring lane.
 ///
 /// Allocated once, reused across ticks; buffers grow to the high-water
 /// frontier size and stay there, so the steady-state per-tick loop is

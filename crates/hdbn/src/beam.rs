@@ -1,12 +1,12 @@
 //! Beam pruning of decoder frontiers.
 //!
-//! Every decoder in this crate — the batch Viterbi in [`crate::viterbi`]
-//! and [`crate::single`], the online fixed-lag frontiers in
-//! [`crate::online`], and the forward filtering behind
-//! [`crate::SingleHdbn::forward_backward`] — advances a *frontier*: one
-//! score per reachable state at the current tick. The exact recursion
-//! carries the whole frontier into the next DP step; a [`Beam`] carries
-//! only its best part. The next step then evaluates transitions out of the
+//! Every decoder in this crate — the Viterbi frontiers in
+//! [`crate::online`] (which [`crate::CoupledHdbn::viterbi`] and
+//! [`crate::SingleHdbn::viterbi`] run to the end) and the forward
+//! filtering behind [`crate::SingleHdbn::forward_backward`] — advances a
+//! *frontier*: one score per reachable state at the current tick. The
+//! exact recursion carries the whole frontier into the next DP step; a
+//! [`Beam`] carries only its best part. The next step then evaluates transitions out of the
 //! surviving states alone, which is where the per-tick speedup comes from
 //! (the coupled joint step drops from `O(|S1||S2|(|S1|+|S2|))` to
 //! `O(B(|S1|+|S2|) + G|S1||S2|)` for `B` survivors over `G` distinct
@@ -195,7 +195,7 @@ impl DecoderConfig {
 }
 
 /// Reusable survivor-selection scratch: one allocation for the lifetime of
-/// a decode (batch) or a stream (online), reused across ticks.
+/// a stream, reused across ticks.
 #[derive(Debug, Clone, Default)]
 pub struct BeamScratch {
     /// Work buffer for the partial selection.

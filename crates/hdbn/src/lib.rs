@@ -25,9 +25,10 @@
 //! `O(|S|²)`-per-tick joint recursion into
 //! `O(|S1||S2|(|S1|+|S2|))` — the implementation-level reason pruned
 //! candidate sets translate into the paper's 16-fold overhead reduction.
-//! The same recursion also runs *incrementally*: the [`online`] module
-//! maintains the trellis frontier tick by tick with fixed-lag smoothing,
-//! for run-time recognition on live sensor streams. On top of the
+//! The recursion runs *incrementally*: the [`online`] module maintains the
+//! trellis frontier tick by tick with fixed-lag smoothing, for run-time
+//! recognition on live sensor streams, and the batch decoders are that
+//! same online decoder run to the end. On top of the
 //! candidate-space pruning, every decoder accepts a [`DecoderConfig`]
 //! whose [`Beam`] restricts the *frontier* itself each tick (top-K or
 //! log-threshold), trading a provably-bounded amount of path quality for
@@ -38,7 +39,7 @@
 //! [`ScoreTables`] over compact `(activity, postural)` pair ids — flat
 //! array loads, bit-identical to the naive [`HdbnParams`] scorers they are
 //! built from ([`tables`]). *Allocation*: all step-kernel scratch lives in
-//! a [`TrellisArena`] allocated once per decode or stream, so a warmed
+//! a [`TrellisArena`] allocated once per stream, so a warmed
 //! online push performs zero heap allocations per tick ([`arena`]).
 //! On top of both, every step kernel is generic over a [`Scalar`] scoring
 //! lane ([`scalar`]): the default [`Precision::Exact64`] `f64` lane stays

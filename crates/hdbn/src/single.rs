@@ -6,11 +6,11 @@
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, StepScratch};
-use crate::beam::{BeamScratch, DecoderConfig};
+use crate::arena::{fill_slice, Slice};
+use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
+use crate::online::{Lag, OnlineSingleViterbi};
 use crate::params::HdbnParams;
-use crate::scalar::{self, Precision, Scalar};
 use crate::trellis::{self, HierModel};
 
 /// A decoded single-chain trajectory.
@@ -183,26 +183,14 @@ impl SingleHdbn {
         std::sync::Arc::clone(&self.params)
     }
 
-    /// Builds one tick's slice into reused buffers (see
-    /// [`crate::arena::fill_slice`]).
-    fn slice_into(
-        &self,
-        tick: &TickInput,
-        user: usize,
-        macro_ids: &mut Vec<usize>,
-        out: &mut Slice,
-    ) {
-        fill_slice(&self.params, tick, user, macro_ids, out);
-    }
-
-    /// Allocating convenience wrapper over [`Self::slice_into`].
+    /// One user's per-tick slices (see [`crate::arena::fill_slice`]).
     fn slices_of(&self, ticks: &[TickInput], user: usize) -> Vec<Slice> {
         let mut macro_ids = Vec::new();
         ticks
             .iter()
             .map(|t| {
                 let mut s = Slice::default();
-                self.slice_into(t, user, &mut macro_ids, &mut s);
+                fill_slice(&self.params, t, user, &mut macro_ids, &mut s);
                 s
             })
             .collect()
@@ -224,102 +212,21 @@ impl SingleHdbn {
 
     /// Viterbi decoding of one user's chain.
     ///
-    /// Dispatches on [`DecoderConfig::precision`]: the default
-    /// [`Precision::Exact64`] lane is bit-identical to the historical
-    /// decoder, [`Precision::Fast32`] decodes through the `f32` table
-    /// mirror.
+    /// Like [`crate::CoupledHdbn::viterbi`], this is the online decoder
+    /// run to the end: every tick is pushed into an
+    /// [`OnlineSingleViterbi`] at [`Lag::Unbounded`] and
+    /// [`finalize`](OnlineSingleViterbi::finalize) backtracks the full
+    /// trellis, under the configured [`DecoderConfig`] (beam and scoring
+    /// lane).
     ///
     /// # Errors
     /// Same conditions as [`crate::CoupledHdbn::viterbi`].
     pub fn viterbi(&self, ticks: &[TickInput], user: usize) -> Result<SinglePath, ModelError> {
-        self.validate(ticks, user)?;
-        match self.decoder.precision {
-            Precision::Exact64 => self.viterbi_impl::<f64>(ticks, user),
-            Precision::Fast32 => self.viterbi_impl::<f32>(ticks, user),
+        let mut online = OnlineSingleViterbi::new(self.clone(), user, Lag::Unbounded);
+        for tick in ticks {
+            online.push(tick)?;
         }
-    }
-
-    fn viterbi_impl<S: Scalar>(
-        &self,
-        ticks: &[TickInput],
-        user: usize,
-    ) -> Result<SinglePath, ModelError> {
-        let p = &self.params;
-        let mut states_explored = 0u64;
-        let mut step: StepScratch<S> = StepScratch::default();
-        let mut beam_scratch = BeamScratch::new();
-
-        let mut slices: Vec<Slice> = Vec::with_capacity(ticks.len());
-        {
-            let mut s = Slice::default();
-            self.slice_into(&ticks[0], user, &mut step.macro_ids, &mut s);
-            slices.push(s);
-        }
-        let model = HierModel::new(p);
-        let mut v: Vec<S> = Vec::new();
-        trellis::init_into(&model, &slices[0], &mut v);
-        states_explored += v.len() as u64;
-
-        let beam = self.decoder.beam;
-        let mut pruned = beam.select_log(&v, &mut beam_scratch);
-        let mut transition_ops = 0u64;
-
-        let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-        for tick in ticks.iter().skip(1) {
-            let mut cur = Slice::default();
-            self.slice_into(tick, user, &mut step.macro_ids, &mut cur);
-            let prev = slices.last().expect("nonempty");
-            states_explored += cur.len() as u64;
-            let mut back = Vec::new();
-            if pruned {
-                transition_ops += (beam_scratch.keep().len() * cur.len()) as u64;
-                trellis::step_pruned_into(
-                    &model,
-                    prev,
-                    &v,
-                    beam_scratch.keep(),
-                    &cur,
-                    &mut step,
-                    &mut back,
-                );
-            } else {
-                transition_ops += (prev.len() * cur.len()) as u64;
-                trellis::step_dense_into(&model, prev, &v, &cur, &mut step, &mut back);
-            }
-            std::mem::swap(&mut v, &mut step.v_next);
-            pruned = beam.select_log(&v, &mut beam_scratch);
-            backptrs.push(back);
-            slices.push(cur);
-        }
-
-        let (mut j, best) = scalar::argmax(&v);
-        let log_prob = best.to_f64();
-
-        let t_total = ticks.len();
-        let mut macros = vec![0usize; t_total];
-        let mut micros = vec![
-            MicroCandidate {
-                postural: 0,
-                gestural: None,
-                location: 0,
-                obs_loglik: 0.0
-            };
-            t_total
-        ];
-        for t in (0..t_total).rev() {
-            macros[t] = slices[t].activities[j];
-            micros[t] = ticks[t].candidates[user][slices[t].cands[j]];
-            if t > 0 {
-                j = backptrs[t][j] as usize;
-            }
-        }
-        Ok(SinglePath {
-            macros,
-            micros,
-            log_prob,
-            states_explored,
-            transition_ops,
-        })
+        online.finalize()
     }
 
     /// Forward–backward posteriors of one user's chain.

@@ -11,11 +11,12 @@ use std::sync::Arc;
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice, StepScratch};
-use crate::beam::{BeamScratch, DecoderConfig};
+use crate::arena::{Slice, StepScratch};
+use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
+use crate::online::{Lag, OnlineCoupledViterbi};
 use crate::params::HdbnParams;
-use crate::scalar::{self, sweep_add_max, sweep_add_max_arg, sweep_max, Precision, Scalar};
+use crate::scalar::{sweep_add_max, sweep_add_max_arg, sweep_max, Scalar};
 use crate::tables::ScoreTablesT;
 
 /// Rejects a tick that would empty the joint trellis.
@@ -35,10 +36,10 @@ pub(crate) fn validate_tick(tick: &TickInput, t: usize) -> Result<(), ModelError
 /// macro priors plus the inter-user coupling, flattened as
 /// `j1 * |S2| + j2`.
 ///
-/// Shared by the batch decoder and [`crate::online::OnlineCoupledViterbi`]
-/// so the two paths stay bit-identical (per lane: emissions and priors are
-/// summed in f64, cast into the lane, then offset by the lane's coupling
-/// table — the identity composition for `S = f64`).
+/// The coupled family's init step inside
+/// [`crate::online::OnlineCoupledViterbi`] (per lane: emissions and priors
+/// are summed in f64, cast into the lane, then offset by the lane's
+/// coupling table — the identity composition for `S = f64`).
 pub(crate) fn joint_init_into<S: Scalar>(p: &HdbnParams, s1: &Slice, s2: &Slice, v: &mut Vec<S>) {
     let t = S::tables(p);
     v.clear();
@@ -67,13 +68,13 @@ pub(crate) fn joint_init_into<S: Scalar>(p: &HdbnParams, s1: &Slice, s2: &Slice,
 /// [`HdbnParams::transition_score`] per edge, which is how the table was
 /// built).
 ///
-/// This is the single implementation of the recursion; the batch
-/// [`CoupledHdbn::viterbi`] and the incremental
-/// [`crate::online::OnlineCoupledViterbi`] both call it, which is what
-/// makes the streamed path bit-identical to the batch path. Generic over
-/// the scoring lane `S`; the `f64` instantiation is bit-identical to the
-/// historical monomorphic kernel (the lane folds and the hoisted gather
-/// reorder only *selections* and *loads*, never arithmetic).
+/// This is the single implementation of the dense recursion; the online
+/// [`crate::online::OnlineCoupledViterbi`] drives it, and the batch
+/// [`CoupledHdbn::viterbi`] is that online decoder run to the end.
+/// Generic over the scoring lane `S`; the `f64` instantiation is
+/// bit-identical to the historical monomorphic kernel (the lane folds and
+/// the hoisted gather reorder only *selections* and *loads*, never
+/// arithmetic).
 pub(crate) fn joint_step_into<S: Scalar>(
     p: &HdbnParams,
     prev1: &Slice,
@@ -327,8 +328,8 @@ fn joint_fan_out<S: Scalar>(
 
 /// Reusable work buffers of [`joint_step_pruned_into`], owned by the
 /// [`crate::arena::TrellisArena`]'s step scratch: one allocation per
-/// decode (batch) or stream (online), reused across ticks — the pruned
-/// hot path allocates nothing once warmed, exactly like the dense kernel.
+/// stream, reused across ticks — the pruned hot path allocates nothing
+/// once warmed, exactly like the dense kernel.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct JointScratch<S> {
     /// Chain-1 state of each survivor group.
@@ -581,153 +582,22 @@ impl CoupledHdbn {
     /// Decodes the most likely joint state sequence (§III step 6: Viterbi at
     /// runtime inference).
     ///
-    /// Dispatches on the configured [`Precision`]: the default `Exact64`
-    /// runs the `f64` kernels (bit-identical to the historical decoder),
-    /// `Fast32` the `f32` lane.
+    /// The batch decode *is* the online decode run to the end: every tick
+    /// is pushed into an [`OnlineCoupledViterbi`] at [`Lag::Unbounded`]
+    /// and the full trellis is backtracked by
+    /// [`finalize`](OnlineCoupledViterbi::finalize), so there is one
+    /// Viterbi decode loop in the crate. The configured [`DecoderConfig`]
+    /// (beam and scoring lane) applies unchanged.
     ///
     /// # Errors
     /// Returns [`ModelError::EmptyStateSpace`] if any tick has no candidates
     /// for some user, and [`ModelError::InsufficientData`] for empty input.
     pub fn viterbi(&self, ticks: &[TickInput]) -> Result<JointPath, ModelError> {
-        match self.decoder.precision {
-            Precision::Exact64 => self.viterbi_impl::<f64>(ticks),
-            Precision::Fast32 => self.viterbi_impl::<f32>(ticks),
+        let mut online = OnlineCoupledViterbi::new(self.clone(), Lag::Unbounded);
+        for tick in ticks {
+            online.push(tick)?;
         }
-    }
-
-    fn viterbi_impl<S: Scalar>(&self, ticks: &[TickInput]) -> Result<JointPath, ModelError> {
-        if ticks.is_empty() {
-            return Err(ModelError::InsufficientData {
-                what: "viterbi decoding".into(),
-                available: 0,
-                required: 1,
-            });
-        }
-        for (t, tick) in ticks.iter().enumerate() {
-            validate_tick(tick, t)?;
-        }
-
-        let p = &self.params;
-        let mut states_explored = 0u64;
-        let mut transition_ops = 0u64;
-
-        // All step-kernel scratch — beam survivors, fold buffers, the
-        // ping-pong frontier — is allocated once per decode (in this
-        // lane's width) and reused across ticks.
-        let mut step: StepScratch<S> = StepScratch::default();
-        let mut beam_scratch = BeamScratch::new();
-
-        // Per-tick slices, retained for backtracking (no clones: the loop
-        // below reads the previous tick's slices in place).
-        let mut slices: Vec<(Slice, Slice)> = Vec::with_capacity(ticks.len());
-        {
-            let mut s1 = Slice::default();
-            let mut s2 = Slice::default();
-            fill_slice(p, &ticks[0], 0, &mut step.macro_ids, &mut s1);
-            fill_slice(p, &ticks[0], 1, &mut step.macro_ids, &mut s2);
-            slices.push((s1, s2));
-        }
-        states_explored += (slices[0].0.len() * slices[0].1.len()) as u64;
-
-        // V flattened as j1 * |S2| + j2.
-        let mut v: Vec<S> = Vec::new();
-        joint_init_into(p, &slices[0].0, &slices[0].1, &mut v);
-
-        // `pruned` tracks whether the *current* frontier was restricted
-        // (false under `Beam::Exact`, and on any tick where the whole
-        // frontier survives — the dense kernel then runs unchanged).
-        let beam = self.decoder.beam;
-        let mut pruned = beam.select_log(&v, &mut beam_scratch);
-
-        // Backpointers per tick (index into the previous tick's flattened
-        // joint trellis).
-        let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
-
-        for tick in ticks.iter().skip(1) {
-            let mut cur1 = Slice::default();
-            let mut cur2 = Slice::default();
-            fill_slice(p, tick, 0, &mut step.macro_ids, &mut cur1);
-            fill_slice(p, tick, 1, &mut step.macro_ids, &mut cur2);
-            let (prev1, prev2) = slices.last().expect("nonempty");
-            let (k1, k2) = (prev1.len(), prev2.len());
-            let (m1, m2) = (cur1.len(), cur2.len());
-            states_explored += (m1 * m2) as u64;
-
-            let mut back = Vec::new();
-            if pruned {
-                transition_ops += joint_step_pruned_into(
-                    p,
-                    prev1,
-                    prev2,
-                    &v,
-                    beam_scratch.keep(),
-                    &cur1,
-                    &cur2,
-                    &mut step,
-                    &mut back,
-                );
-            } else {
-                transition_ops += (k1 as u64 * k2 as u64) * (m1 as u64 + m2 as u64);
-                joint_step_into(p, prev1, prev2, &v, &cur1, &cur2, &mut step, &mut back);
-            }
-
-            std::mem::swap(&mut v, &mut step.v_next);
-            pruned = beam.select_log(&v, &mut beam_scratch);
-            backptrs.push(back);
-            slices.push((cur1, cur2));
-        }
-
-        // Termination: best final joint state (last-argmax, like the
-        // historical `max_by` termination).
-        let m2_last = slices.last().expect("nonempty").1.len();
-        let (mut flat, best) = scalar::argmax(&v);
-        let log_prob = best.to_f64();
-
-        // Backtrack.
-        let t_total = ticks.len();
-        let mut macros = [vec![0usize; t_total], vec![0usize; t_total]];
-        let mut micros = [
-            vec![
-                MicroCandidate {
-                    postural: 0,
-                    gestural: None,
-                    location: 0,
-                    obs_loglik: 0.0
-                };
-                t_total
-            ],
-            vec![
-                MicroCandidate {
-                    postural: 0,
-                    gestural: None,
-                    location: 0,
-                    obs_loglik: 0.0
-                };
-                t_total
-            ],
-        ];
-        let mut m2_cur = m2_last;
-        for t in (0..t_total).rev() {
-            let (s1_slice, s2_slice) = &slices[t];
-            let j1 = flat / m2_cur;
-            let j2 = flat % m2_cur;
-            macros[0][t] = s1_slice.activities[j1];
-            macros[1][t] = s2_slice.activities[j2];
-            micros[0][t] = ticks[t].candidates[0][s1_slice.cands[j1]];
-            micros[1][t] = ticks[t].candidates[1][s2_slice.cands[j2]];
-            if t > 0 {
-                flat = backptrs[t][flat] as usize;
-                m2_cur = slices[t - 1].1.len();
-            }
-        }
-
-        Ok(JointPath {
-            macros,
-            micros,
-            log_prob,
-            states_explored,
-            transition_ops,
-        })
+        online.finalize()
     }
 }
 

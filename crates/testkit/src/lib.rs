@@ -4,8 +4,15 @@
 //! differential/bench harnesses): the simulated-corpus builders and
 //! trained-engine constructors that used to be copy-pasted across the
 //! files under `tests/`, plus the strict bit-identity assertion the
-//! equivalence suites (`batch == sequential`, `streamed == batch`,
-//! `reloaded == trained`, `pruned-streamed == pruned-batch`) all share.
+//! equivalence suites (`batch == sequential`, `parked == uninterrupted`,
+//! `reloaded == trained`, `router == dedicated stream`) all share.
+//!
+//! Batch recognition *is* the stream run to the end, so "streamed ==
+//! batch" would compare the decode loop with itself. The decode contracts are
+//! instead held against references that share no decode-loop code: the naive
+//! per-edge decoders in [`naive`] (exact or beam-restricted) and a
+//! session-long `Lag::Fixed` stream — see
+//! [`assert_recognition_matches_references`].
 //!
 //! Nothing here is clever — that is the point. A fixture duplicated per
 //! test file drifts (each copy picks its own seeds, split ratios, and
@@ -31,7 +38,8 @@ pub mod toy;
 use cace_behavior::session::train_test_split;
 use cace_behavior::{cace_grammar, generate_cace_dataset, Session, SessionConfig};
 use cace_core::{
-    CaceConfig, CaceEngine, Lag, ParkedStream, Precision, Recognition, Strategy, StreamDecision,
+    stream_session, CaceConfig, CaceEngine, Lag, ParkedStream, Precision, Recognition, Strategy,
+    StreamDecision,
 };
 use cace_hdbn::{HdbnConfig, HdbnParams, MicroCandidate, TickInput};
 use cace_mining::constraint::{ConstraintMiner, LabeledSequence};
@@ -217,6 +225,81 @@ pub fn assert_recognitions_identical(actual: &Recognition, expected: &Recognitio
         expected.mean_joint_size.to_bits(),
         "{label}: mean_joint_size"
     );
+}
+
+/// Asserts `rec` — `engine`'s recognition of the whole `session` at
+/// [`Lag::Unbounded`] (e.g. [`CaceEngine::recognize`], possibly with park
+/// cycles in between) — against two independent references:
+///
+/// * a stream at `Lag::Fixed(session.len())`, which runs the fixed-lag
+///   window bookkeeping instead of the unbounded one: every deterministic
+///   field must match bit for bit ([`assert_recognitions_identical`]);
+/// * the naive per-edge decoders in [`naive`] over the engine's own
+///   [`tick_inputs`](CaceEngine::tick_inputs), restricted to the engine's
+///   decoder beam: decoded macros and both overhead counters must match
+///   (C2/NCS coupled, NCR per chain with the `|S|²`-per-tick input-size
+///   convention when the beam can never prune). NH's flat reference reads
+///   crate-private tables and lives in `cace-core`'s `nh` unit tests.
+///
+/// # Panics
+/// Panics with `label` on any mismatch, or if the engine decodes in the
+/// `f32` lane (the naive references are exact-lane `f64`).
+pub fn assert_recognition_matches_references(
+    engine: &CaceEngine,
+    session: &Session,
+    rec: &Recognition,
+    label: &str,
+) {
+    let (decisions, fixed) = stream_session(engine, session, Lag::Fixed(session.len()))
+        .expect("testkit: session-long fixed-lag stream");
+    assert!(decisions.is_empty(), "{label}: lag >= len never emits");
+    assert_recognitions_identical(rec, &fixed, &format!("{label} vs Lag::Fixed(len)"));
+
+    let decoder = engine.config().decoder;
+    assert_eq!(
+        decoder.precision,
+        Precision::Exact64,
+        "{label}: the naive references are exact-lane"
+    );
+    let inputs = engine.tick_inputs(session);
+    let params = engine.hdbn_params().as_ref();
+    match engine.config().strategy {
+        Strategy::NaiveConstraint | Strategy::CorrelationConstraint => {
+            let want = naive::naive_coupled_viterbi(params, &inputs, decoder.beam);
+            assert_eq!(rec.macros, want.macros, "{label}: naive macros");
+            assert_eq!(
+                rec.states_explored, want.states_explored,
+                "{label}: naive states_explored"
+            );
+            assert_eq!(
+                rec.transition_ops, want.transition_ops,
+                "{label}: naive transition_ops"
+            );
+        }
+        Strategy::NaiveCorrelation => {
+            let want =
+                [0, 1].map(|u| naive::naive_single_viterbi(params, &inputs, u, decoder.beam));
+            for (u, path) in want.iter().enumerate() {
+                assert_eq!(rec.macros[u], path.macros, "{label}: naive macros user {u}");
+            }
+            assert_eq!(
+                rec.states_explored,
+                want[0].states_explored + want[1].states_explored,
+                "{label}: naive states_explored"
+            );
+            let ops = if decoder.beam.never_prunes(engine.frontier_bound()) {
+                let side = |t: &TickInput| (t.joint_states(engine.n_macro()) as f64).sqrt() as u64;
+                2 * inputs
+                    .windows(2)
+                    .map(|w| side(&w[0]) * side(&w[1]))
+                    .sum::<u64>()
+            } else {
+                want[0].transition_ops + want[1].transition_ops
+            };
+            assert_eq!(rec.transition_ops, ops, "{label}: naive transition_ops");
+        }
+        Strategy::NaiveHmm => {}
+    }
 }
 
 /// Drives a session through a streaming recognizer, interrupting it with

@@ -9,18 +9,26 @@
 //! calls per edge, fresh fold buffers per column, per-tick `Vec`
 //! allocations — with the exact same fold order and tie-breaking.
 //!
+//! The two Viterbi references also take a [`Beam`]: survivors come from
+//! the public [`Beam::select_log`], non-survivors are skipped as sources,
+//! and backpointers stay in full-frontier coordinates — an independent
+//! statement of what a pruned decode must return.
+//!
 //! Two consumers:
 //!
-//! * `tests/score_tables.rs` asserts the production decoders are
-//!   **bit-identical** to these references over random mined statistics —
-//!   the differential gate for the dense-table scoring path.
+//! * `tests/score_tables.rs` and `tests/streaming_equivalence.rs` (through
+//!   [`crate::assert_recognition_matches_references`]) assert the
+//!   production decoders are **bit-identical** to these references over
+//!   random mined statistics and engine-prepared sessions — the
+//!   differential gate for the dense-table scoring path and for the one
+//!   online Viterbi decode loop that batch decoding runs to the end.
 //! * `crates/bench/benches/score_tables.rs` measures them as the "naive
 //!   scoring" baseline that the table path's per-tick speedup is claimed
 //!   against.
 
 use cace_hdbn::forward::normalize_log;
-use cace_hdbn::single::ExpectedCounts;
-use cace_hdbn::{log_sum_exp, HdbnParams, TickInput};
+use cace_hdbn::single::{ExpectedCounts, SinglePath};
+use cace_hdbn::{log_sum_exp, Beam, BeamScratch, HdbnParams, JointPath, TickInput};
 
 /// One chain's per-tick state enumeration, exactly as the decoders build
 /// it: macro-major over the tick's allowed macros × candidates.
@@ -55,24 +63,51 @@ fn naive_slice(p: &HdbnParams, tick: &TickInput, user: usize) -> NaiveSlice {
     slice
 }
 
-/// The reference exact coupled decode: `(per-user macro paths, log_prob)`.
+/// Which states of a frontier may be transitioned out of: `None` (all of
+/// them) unless `beam` prunes, in which case a mask of exactly the
+/// survivors the public [`Beam::select_log`] picks. Returns the mask and
+/// the survivor count. (`None` keeps the exact scan free of mask loads, so
+/// the exact reference costs what the historical decoder did — it is the
+/// `score_tables` bench's naive baseline.)
+fn survivors(beam: Beam, v: &[f64]) -> (Option<Vec<bool>>, usize) {
+    let mut scratch = BeamScratch::new();
+    if !beam.select_log(v, &mut scratch) {
+        return (None, v.len());
+    }
+    let mut alive = vec![false; v.len()];
+    for &i in scratch.keep() {
+        alive[i as usize] = true;
+    }
+    (Some(alive), scratch.keep().len())
+}
+
+/// The reference coupled decode, optionally beam-restricted.
 ///
 /// A faithful copy of the pre-score-table dense two-pass fold — chain 2
 /// then chain 1, `f2_col`/`f1_col` collected fresh per column via
-/// [`HdbnParams::transition_score`] — so the production
-/// [`CoupledHdbn::viterbi`](cace_hdbn::CoupledHdbn::viterbi) (under
-/// `Beam::Exact`) must match it float for float.
+/// [`HdbnParams::transition_score`], every source scanned in ascending
+/// order with a strict `>` — so the production
+/// [`CoupledHdbn::viterbi`](cace_hdbn::CoupledHdbn::viterbi) (exact lane)
+/// must match it float for float, counters included.
+///
+/// Under a pruning `beam`, each tick's survivors are chosen by the public
+/// [`Beam::select_log`] on the frontier; non-survivors are skipped as
+/// sources, backpointers stay in full-frontier coordinates, and a pruned
+/// step is charged `|survivors| · (|S1| + |S2|)` transition ops (the full
+/// step `|S1'||S2'| · (|S1| + |S2|)`). [`Beam::Exact`] scans everything.
 ///
 /// # Panics
 /// Panics on empty input or a tick with no candidates (the references
 /// assume pre-validated input).
-pub fn naive_coupled_viterbi(p: &HdbnParams, ticks: &[TickInput]) -> ([Vec<usize>; 2], f64) {
+pub fn naive_coupled_viterbi(p: &HdbnParams, ticks: &[TickInput], beam: Beam) -> JointPath {
     assert!(!ticks.is_empty(), "naive decode needs at least one tick");
     let mut slices: Vec<(NaiveSlice, NaiveSlice)> = Vec::with_capacity(ticks.len());
     slices.push((naive_slice(p, &ticks[0], 0), naive_slice(p, &ticks[0], 1)));
 
     // First frontier: emissions + priors + coupling, flattened j1·|S2|+j2.
     let (s1, s2) = &slices[0];
+    let mut states_explored = (s1.activities.len() * s2.activities.len()) as u64;
+    let mut transition_ops = 0u64;
     let mut v = Vec::with_capacity(s1.activities.len() * s2.activities.len());
     for (j1, &a1) in s1.activities.iter().enumerate() {
         let base1 = s1.emissions[j1] + p.log_prior[a1];
@@ -89,6 +124,16 @@ pub fn naive_coupled_viterbi(p: &HdbnParams, ticks: &[TickInput]) -> ([Vec<usize
         let (prev1, prev2) = slices.last().expect("nonempty");
         let (k1, k2) = (prev1.activities.len(), prev2.activities.len());
         let (m1, m2) = (cur1.activities.len(), cur2.activities.len());
+        let (alive, n_alive) = survivors(beam, &v);
+        // A chain-1 source with no surviving partner state drops out of
+        // pass 2 entirely.
+        let row_alive: Option<Vec<bool>> = alive.as_ref().map(|alive| {
+            (0..k1)
+                .map(|j1p| alive[j1p * k2..(j1p + 1) * k2].iter().any(|&a| a))
+                .collect()
+        });
+        states_explored += (m1 * m2) as u64;
+        transition_ops += n_alive as u64 * (m1 + m2) as u64;
 
         // Pass 1 — fold chain 2.
         let mut w = vec![f64::NEG_INFINITY; k1 * m2];
@@ -106,9 +151,13 @@ pub fn naive_coupled_viterbi(p: &HdbnParams, ticks: &[TickInput]) -> ([Vec<usize
                 .collect();
             for j1p in 0..k1 {
                 let row = &v[j1p * k2..(j1p + 1) * k2];
+                let alive_row = alive.as_ref().map(|a| &a[j1p * k2..(j1p + 1) * k2]);
                 let mut best = f64::NEG_INFINITY;
                 let mut best_arg = 0u32;
                 for (j2p, (&vv, &f2)) in row.iter().zip(&f2_col).enumerate() {
+                    if alive_row.is_some_and(|a| !a[j2p]) {
+                        continue;
+                    }
                     let score = vv + f2;
                     if score > best {
                         best = score;
@@ -138,6 +187,9 @@ pub fn naive_coupled_viterbi(p: &HdbnParams, ticks: &[TickInput]) -> ([Vec<usize
                 let mut best = f64::NEG_INFINITY;
                 let mut best_j1p = 0usize;
                 for (j1p, &f1) in f1_col.iter().enumerate() {
+                    if row_alive.as_ref().is_some_and(|a| !a[j1p]) {
+                        continue;
+                    }
                     let score = w[j1p * m2 + j2] + f1;
                     if score > best {
                         best = score;
@@ -155,33 +207,47 @@ pub fn naive_coupled_viterbi(p: &HdbnParams, ticks: &[TickInput]) -> ([Vec<usize
         slices.push((cur1, cur2));
     }
 
-    let (mut flat, log_prob) = v
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
-        .map(|(i, &s)| (i, s))
-        .expect("nonempty trellis");
+    let (mut flat, log_prob) = last_argmax(&v);
     let t_total = ticks.len();
     let mut macros = [vec![0usize; t_total], vec![0usize; t_total]];
+    let mut micros = [Vec::with_capacity(t_total), Vec::with_capacity(t_total)];
     let mut m2_cur = slices.last().expect("nonempty").1.activities.len();
     for t in (0..t_total).rev() {
         let (s1, s2) = &slices[t];
-        macros[0][t] = s1.activities[flat / m2_cur];
-        macros[1][t] = s2.activities[flat % m2_cur];
+        let (j1, j2) = (flat / m2_cur, flat % m2_cur);
+        macros[0][t] = s1.activities[j1];
+        macros[1][t] = s2.activities[j2];
+        micros[0].push(ticks[t].candidates[0][s1.cands[j1]]);
+        micros[1].push(ticks[t].candidates[1][s2.cands[j2]]);
         if t > 0 {
             flat = backptrs[t][flat] as usize;
             m2_cur = slices[t - 1].1.activities.len();
         }
     }
-    (macros, log_prob)
+    micros[0].reverse();
+    micros[1].reverse();
+    JointPath {
+        macros,
+        micros,
+        log_prob,
+        states_explored,
+        transition_ops,
+    }
 }
 
-/// The reference exact single-chain decode: `(macro path, log_prob)` —
-/// the pre-score-table `chain_step` loop, transition-scored per edge.
+/// The reference single-chain decode, optionally beam-restricted — the
+/// pre-score-table `chain_step` loop, transition-scored per edge, with the
+/// same survivor rule and charge convention (`|survivors| · |S|` per
+/// pruned step, `|S'| · |S|` per full one) as [`naive_coupled_viterbi`].
 ///
 /// # Panics
 /// Same conditions as [`naive_coupled_viterbi`].
-pub fn naive_single_viterbi(p: &HdbnParams, ticks: &[TickInput], user: usize) -> (Vec<usize>, f64) {
+pub fn naive_single_viterbi(
+    p: &HdbnParams,
+    ticks: &[TickInput],
+    user: usize,
+    beam: Beam,
+) -> SinglePath {
     assert!(!ticks.is_empty(), "naive decode needs at least one tick");
     let mut slices: Vec<NaiveSlice> = Vec::with_capacity(ticks.len());
     slices.push(naive_slice(p, &ticks[0], user));
@@ -191,11 +257,16 @@ pub fn naive_single_viterbi(p: &HdbnParams, ticks: &[TickInput], user: usize) ->
         .zip(&slices[0].emissions)
         .map(|(&a, &e)| p.log_prior[a] + e)
         .collect();
+    let mut states_explored = v.len() as u64;
+    let mut transition_ops = 0u64;
 
     let mut backptrs: Vec<Vec<u32>> = vec![Vec::new()];
     for tick in ticks.iter().skip(1) {
         let cur = naive_slice(p, tick, user);
         let prev = slices.last().expect("nonempty");
+        let (alive, n_alive) = survivors(beam, &v);
+        states_explored += cur.activities.len() as u64;
+        transition_ops += (n_alive * cur.activities.len()) as u64;
         let mut v_new = vec![f64::NEG_INFINITY; cur.activities.len()];
         let mut back = vec![0u32; cur.activities.len()];
         for (j, (&a, &e)) in cur.activities.iter().zip(&cur.emissions).enumerate() {
@@ -203,6 +274,9 @@ pub fn naive_single_viterbi(p: &HdbnParams, ticks: &[TickInput], user: usize) ->
             let mut best = f64::NEG_INFINITY;
             let mut best_arg = 0u32;
             for (jp, &ap) in prev.activities.iter().enumerate() {
+                if alive.as_ref().is_some_and(|a| !a[jp]) {
+                    continue;
+                }
                 let score = v[jp] + p.transition_score(ap, prev.posturals[jp], a, p_new);
                 if score > best {
                     best = score;
@@ -217,20 +291,34 @@ pub fn naive_single_viterbi(p: &HdbnParams, ticks: &[TickInput], user: usize) ->
         slices.push(cur);
     }
 
-    let (mut j, log_prob) = v
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
-        .map(|(i, &s)| (i, s))
-        .expect("nonempty trellis");
+    let (mut j, log_prob) = last_argmax(&v);
     let mut macros = vec![0usize; ticks.len()];
+    let mut micros = Vec::with_capacity(ticks.len());
     for t in (0..ticks.len()).rev() {
         macros[t] = slices[t].activities[j];
+        micros.push(ticks[t].candidates[user][slices[t].cands[j]]);
         if t > 0 {
             j = backptrs[t][j] as usize;
         }
     }
-    (macros, log_prob)
+    micros.reverse();
+    SinglePath {
+        macros,
+        micros,
+        log_prob,
+        states_explored,
+        transition_ops,
+    }
+}
+
+/// Termination: the last maximum of the final frontier (the historical
+/// `max_by` termination).
+fn last_argmax(v: &[f64]) -> (usize, f64) {
+    v.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
+        .map(|(i, &s)| (i, s))
+        .expect("nonempty trellis")
 }
 
 /// The reference exact forward–backward: `(gamma, log_likelihood)` — the

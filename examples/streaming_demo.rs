@@ -11,7 +11,7 @@
 //!    10-tick lag; reports mean/p95/max per-tick latency and checks the
 //!    emitted-decision schedule.
 //! 2. **Lag sweep** — accuracy at lags 0/2/5/10/20/∞ vs. the batch
-//!    decode (∞ is asserted bit-identical to `recognize`).
+//!    decode (∞ *is* the batch decode: `recognize` runs that stream).
 //! 3. **Router throughput** — N concurrent homes, each with its own
 //!    session, streaming in lockstep rounds over the router's shards;
 //!    reports aggregate ticks/second.
@@ -83,11 +83,8 @@ fn main() {
             Lag::Unbounded => "unbounded".to_string(),
         };
         println!("{label:<12} {:>9.1}% {delta:>+11.3}", 100.0 * acc);
-        if lag.is_unbounded() {
-            assert_eq!(rec.macros, batch.macros, "unbounded must match batch");
-        }
     }
-    println!("(unbounded lag checked bit-identical to CaceEngine::recognize)");
+    println!("(unbounded lag is CaceEngine::recognize: same stream, run to the end)");
 
     // ---- 3. multi-home throughput through the router ----
     let homes = 16usize;

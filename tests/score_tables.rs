@@ -2,29 +2,34 @@
 //! arena-based step kernels (PR 5).
 //!
 //! Contract: every decode path that now scores through
-//! [`ScoreTables`](cace::hdbn::ScoreTables) — batch coupled, batch single,
-//! streaming, forward–backward, and the EM expected counts — is
-//! **bit-identical** to the naive reference implementations in
-//! `cace_testkit::naive`, which score every edge directly through
-//! `HdbnParams::transition_score` / `hierarchy_score` exactly as the
-//! pre-table decoders did. The properties run over random mined
-//! statistics, random tick streams (candidate restrictions, macro bonuses,
-//! missing gesturals), and configuration extremes (`coupling_weight` /
-//! `hierarchy_weight` at 0 and far above 1, persistence bonuses), plus an
-//! engine-level sweep across the four strategies.
+//! [`ScoreTables`](cace::hdbn::ScoreTables) — the coupled and single-chain
+//! Viterbi decodes (batch entry points and online pushes, one decode loop),
+//! forward–backward, and the EM expected counts — is **bit-identical** to
+//! the naive reference implementations in `cace_testkit::naive`, which
+//! score every edge directly through `HdbnParams::transition_score` /
+//! `hierarchy_score` exactly as the pre-table decoders did. Beam-pruned
+//! decodes are held to the survivor-restricted references. The properties
+//! run over random mined statistics, random tick streams (candidate
+//! restrictions, macro bonuses, missing gesturals), and configuration
+//! extremes (`coupling_weight` / `hierarchy_weight` at 0 and far above 1,
+//! persistence bonuses), plus an engine-level sweep across the four
+//! strategies.
 
 use proptest::prelude::*;
 
-use cace::core::{CaceConfig, Strategy};
+use cace::core::{DecoderConfig, Strategy};
 use cace::hdbn::{
-    CoupledHdbn, HdbnConfig, HdbnParams, Lag, MicroCandidate, OnlineCoupledViterbi, SingleHdbn,
-    TickInput,
+    Beam, CoupledHdbn, HdbnConfig, HdbnParams, Lag, MicroCandidate, OnlineCoupledViterbi,
+    OnlineSingleViterbi, SingleHdbn, TickInput,
 };
 use cace::mining::constraint::{ConstraintMiner, LabeledSequence};
 use cace_testkit::naive::{
     naive_accumulate_counts, naive_coupled_viterbi, naive_forward_backward, naive_single_viterbi,
 };
-use cace_testkit::{engine_with, tiny_corpus};
+use cace_testkit::{
+    assert_recognition_matches_references, engine, tiny_corpus, toy_glitchy_ticks,
+    toy_two_activity_params,
+};
 
 /// Deterministic xorshift for data generation inside a property.
 struct Rng(u64);
@@ -118,6 +123,11 @@ fn random_ticks(rng: &mut Rng, p: &HdbnParams, len: usize) -> Vec<TickInput> {
         .collect()
 }
 
+/// The frontier beams every decode contract runs under: exact, a tight
+/// top-k, and a log-threshold (the pruned ones against the
+/// survivor-restricted references).
+const BEAMS: [Beam; 3] = [Beam::Exact, Beam::TopK(3), Beam::LogThreshold(1.5)];
+
 /// The configuration extremes the tables must be built correctly under.
 fn configs() -> Vec<HdbnConfig> {
     vec![
@@ -186,8 +196,10 @@ proptest! {
         }
     }
 
-    /// Decode contract, batch: the table-scored exact decoders reproduce
-    /// the naive references float for float — coupled and single chains.
+    /// Decode contract, batch entry points: the table-scored decoders
+    /// reproduce the naive references float for float — coupled and
+    /// single chains, paths, micro tuples and overhead counters — exact
+    /// and beam-pruned.
     #[test]
     fn batch_decodes_match_naive_scoring_bit_for_bit(
         seed in 0u64..10_000,
@@ -197,25 +209,31 @@ proptest! {
         for config in configs() {
             let p = random_params(&mut rng, config);
             let ticks = random_ticks(&mut rng, &p, len);
+            for beam in BEAMS {
+                let decoder = DecoderConfig { beam, ..DecoderConfig::exact() };
+                let want = naive_coupled_viterbi(&p, &ticks, beam);
+                let got = CoupledHdbn::new(p.clone())
+                    .with_decoder(decoder)
+                    .viterbi(&ticks)
+                    .expect("decode");
+                prop_assert_eq!(&got, &want, "coupled {:?}", beam);
+                prop_assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits(), "coupled log_prob");
 
-            let (naive_macros, naive_lp) = naive_coupled_viterbi(&p, &ticks);
-            let fast = CoupledHdbn::new(p.clone()).viterbi(&ticks).expect("decode");
-            prop_assert_eq!(&fast.macros, &naive_macros, "coupled macros");
-            prop_assert_eq!(fast.log_prob.to_bits(), naive_lp.to_bits(), "coupled log_prob");
-
-            let single = SingleHdbn::new(p.clone());
-            for user in 0..2 {
-                let (nm, nlp) = naive_single_viterbi(&p, &ticks, user);
-                let sp = single.viterbi(&ticks, user).expect("single decode");
-                prop_assert_eq!(&sp.macros, &nm, "single macros user {}", user);
-                prop_assert_eq!(sp.log_prob.to_bits(), nlp.to_bits(), "single log_prob");
+                let single = SingleHdbn::new(p.clone()).with_decoder(decoder);
+                for user in 0..2 {
+                    let want = naive_single_viterbi(&p, &ticks, user, beam);
+                    let got = single.viterbi(&ticks, user).expect("single decode");
+                    prop_assert_eq!(&got, &want, "single {:?} user {}", beam, user);
+                    prop_assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits(), "single log_prob");
+                }
             }
         }
     }
 
-    /// Decode contract, streaming: the arena-pooled online coupled decoder
-    /// at unbounded lag reproduces the naive reference too (so pooling the
-    /// window entries changed no arithmetic).
+    /// Decode contract, streaming: the arena-pooled online decoders at
+    /// unbounded lag never emit mid-stream and finalize to the naive
+    /// references (so pooling the window entries changed no arithmetic),
+    /// exact and beam-pruned.
     #[test]
     fn streaming_decode_matches_naive_scoring(
         seed in 0u64..10_000,
@@ -225,14 +243,30 @@ proptest! {
         for config in configs() {
             let p = random_params(&mut rng, config);
             let ticks = random_ticks(&mut rng, &p, len);
-            let (naive_macros, naive_lp) = naive_coupled_viterbi(&p, &ticks);
-            let mut online = OnlineCoupledViterbi::new(CoupledHdbn::new(p), Lag::Unbounded);
-            for tick in &ticks {
-                online.push(tick).expect("push");
+            for beam in BEAMS {
+                let decoder = DecoderConfig { beam, ..DecoderConfig::exact() };
+                let model = CoupledHdbn::new(p.clone()).with_decoder(decoder);
+                let mut online = OnlineCoupledViterbi::new(model, Lag::Unbounded);
+                for tick in &ticks {
+                    prop_assert_eq!(online.push(tick).expect("push"), None);
+                }
+                let got = online.finalize().expect("finalize");
+                let want = naive_coupled_viterbi(&p, &ticks, beam);
+                prop_assert_eq!(&got, &want, "coupled {:?}", beam);
+                prop_assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits());
+
+                let model = SingleHdbn::new(p.clone()).with_decoder(decoder);
+                for user in 0..2 {
+                    let mut online = OnlineSingleViterbi::new(model.clone(), user, Lag::Unbounded);
+                    for tick in &ticks {
+                        prop_assert_eq!(online.push(tick).expect("push"), None);
+                    }
+                    let got = online.finalize().expect("finalize");
+                    let want = naive_single_viterbi(&p, &ticks, user, beam);
+                    prop_assert_eq!(&got, &want, "single {:?} user {}", beam, user);
+                    prop_assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits());
+                }
             }
-            let path = online.finalize().expect("finalize");
-            prop_assert_eq!(&path.macros, &naive_macros);
-            prop_assert_eq!(path.log_prob.to_bits(), naive_lp.to_bits());
         }
     }
 
@@ -278,11 +312,13 @@ proptest! {
         }
     }
 
-    /// Engine-level contract across strategies: the engine's decode over
-    /// its own prepared state spaces equals the naive reference on the
-    /// same inputs (C2/NCS coupled, NCR per-chain); NH's flat table is
-    /// covered by its own unit differential in `cace-core`. All four
-    /// strategies run end to end.
+    /// Engine-level contract across strategies: the engine's recognition
+    /// equals the naive reference decoders over its own prepared state
+    /// spaces (C2/NCS coupled, NCR per-chain), macros and overhead
+    /// counters; NH's flat product decoder is held to its naive
+    /// per-state × per-source reference in `cace-core`'s `nh` unit tests.
+    /// All four strategies run end to end, in the exact lane whatever the
+    /// suite's `CACE_FAST32` setting.
     #[test]
     fn engine_recognition_matches_naive_reference_decoders(
         seed in 0u64..1_000,
@@ -290,25 +326,60 @@ proptest! {
     ) {
         let (train, test) = tiny_corpus(3, ticks, seed);
         for strategy in Strategy::ALL {
-            let engine = engine_with(&train, &CaceConfig::default().with_strategy(strategy));
+            let engine = engine(&train, strategy).with_decoder(DecoderConfig::exact());
             let session = &test[0];
             let rec = engine.recognize(session).expect("recognize");
             prop_assert_eq!(rec.macros[0].len(), session.len());
-            let inputs = engine.tick_inputs(session);
-            let params = engine.hdbn_params().as_ref();
-            match strategy {
-                Strategy::NaiveConstraint | Strategy::CorrelationConstraint => {
-                    let (naive_macros, _) = naive_coupled_viterbi(params, &inputs);
-                    prop_assert_eq!(&rec.macros, &naive_macros, "{} macros", strategy);
-                }
-                Strategy::NaiveCorrelation => {
-                    for user in 0..2 {
-                        let (naive_macros, _) = naive_single_viterbi(params, &inputs, user);
-                        prop_assert_eq!(&rec.macros[user], &naive_macros, "{} macros", strategy);
-                    }
-                }
-                Strategy::NaiveHmm => {}
+            assert_recognition_matches_references(&engine, session, &rec, strategy.label());
+        }
+    }
+}
+
+/// The toy two-activity world under the beams that actually prune its
+/// frontier: streamed decodes (unbounded lag, never emitting) equal the
+/// survivor-restricted naive references in full — paths, micro tuples,
+/// log-score bits and counters — and the beams really did cut transition
+/// work below the exact decode.
+#[test]
+fn toy_world_beamed_streams_match_restricted_references() {
+    let ticks = toy_glitchy_ticks(30);
+    let coupled = toy_two_activity_params(true);
+    let exact = naive_coupled_viterbi(&coupled, &ticks, Beam::Exact);
+    for beam in [Beam::Exact, Beam::TopK(4), Beam::LogThreshold(3.0)] {
+        let decoder = DecoderConfig {
+            beam,
+            ..DecoderConfig::exact()
+        };
+        let model = CoupledHdbn::new(coupled.clone()).with_decoder(decoder);
+        let mut online = OnlineCoupledViterbi::new(model, Lag::Unbounded);
+        for tick in &ticks {
+            assert_eq!(online.push(tick).unwrap(), None, "unbounded never emits");
+        }
+        let got = online.finalize().unwrap();
+        let want = naive_coupled_viterbi(&coupled, &ticks, beam);
+        assert_eq!(got, want, "{beam:?}");
+        assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits(), "{beam:?}");
+        if beam != Beam::Exact {
+            assert!(got.transition_ops < exact.transition_ops, "{beam:?} prunes");
+        }
+    }
+
+    let single = toy_two_activity_params(false);
+    for beam in [Beam::Exact, Beam::TopK(2)] {
+        let decoder = DecoderConfig {
+            beam,
+            ..DecoderConfig::exact()
+        };
+        let model = SingleHdbn::new(single.clone()).with_decoder(decoder);
+        for user in 0..2 {
+            let mut online = OnlineSingleViterbi::new(model.clone(), user, Lag::Unbounded);
+            for tick in &ticks {
+                assert_eq!(online.push(tick).unwrap(), None, "unbounded never emits");
             }
+            let got = online.finalize().unwrap();
+            let want = naive_single_viterbi(&single, &ticks, user, beam);
+            assert_eq!(got, want, "{beam:?} user {user}");
+            assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits());
         }
     }
 }
