@@ -16,12 +16,12 @@
 //! frontier pools its window entries, mirroring the `TrellisArena`
 //! discipline.
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use cace_hdbn::park::{check, validate_cursor, validate_frontier};
 use cace_hdbn::trellis::{
-    Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily,
+    Dest, OnlineTrellis, ScoreModel, StateSpace, TrellisEntry, TrellisFamily, TrellisParts,
+    TrellisSpare,
 };
 use cace_hdbn::{DecoderConfig, Lag, Precision, Scalar, StepScratch, TickInput};
 use cace_model::ModelError;
@@ -215,21 +215,25 @@ impl<S: NhScalar> ScoreModel<S> for FlatModel<'_> {
 }
 
 /// One retained tick of the NH backpointer window (pooled through the
-/// generic core's free list).
-#[derive(Default)]
-struct FlatEntry {
-    states: Vec<FlatState>,
+/// generic core's free list, and its own parked form).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct FlatEntry {
+    pub(crate) states: Vec<FlatState>,
     /// The tick's emissions, kept alongside the states so the step kernel
     /// can read the *current* tick's emissions from the entry (never
-    /// parked: only the newest tick's emissions are ever read, and a
-    /// parked stream re-derives them on the next push).
-    emit: Vec<f64>,
-    back: Vec<u32>,
+    /// serialized: a step only reads the emissions of the tick it pushes).
+    #[serde(skip)]
+    pub(crate) emit: Vec<f64>,
+    pub(crate) back: Vec<u32>,
 }
 
 impl TrellisEntry for FlatEntry {
     fn back(&self) -> &[u32] {
         &self.back
+    }
+
+    fn back_capacity(&self) -> usize {
+        self.back.capacity()
     }
 }
 
@@ -295,13 +299,6 @@ impl<S: NhScalar> TrellisFamily<S> for FlatFamily<'_> {
     }
 }
 
-/// Parked form of one retained tick of the NH backpointer window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct ParkedFlatEntry {
-    pub(crate) states: Vec<FlatState>,
-    pub(crate) back: Vec<u32>,
-}
-
 /// Parked [`OnlineFlat`] state — the NH member of the per-strategy parked
 /// decoder family (see `cace_hdbn::park` for the coupled/chain members
 /// and the park/resume contract).
@@ -309,7 +306,7 @@ pub(crate) struct ParkedFlatEntry {
 pub(crate) struct ParkedFlat {
     pub(crate) v: Vec<f64>,
     pub(crate) v32: Vec<f32>,
-    pub(crate) window: Vec<ParkedFlatEntry>,
+    pub(crate) window: Vec<FlatEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
     pub(crate) emitted: Vec<usize>,
@@ -317,6 +314,10 @@ pub(crate) struct ParkedFlat {
     pub(crate) transition_ops: u64,
     pub(crate) pruned: bool,
     pub(crate) keep: Vec<u32>,
+    /// Pooled entries and arena scratch, reused at resume; never
+    /// serialized.
+    #[serde(skip)]
+    pub(crate) spare: TrellisSpare<FlatEntry>,
 }
 
 impl ParkedFlat {
@@ -387,6 +388,7 @@ impl ParkedFlat {
 /// The flat table is *not* captured: every [`push`](Self::push) borrows it
 /// from the caller, so one table serves any number of live and parked
 /// frontiers (the fleet-sharing property the serving tier relies on).
+#[derive(Clone)]
 pub(crate) struct OnlineFlat {
     decoder: DecoderConfig,
     core: OnlineTrellis<FlatEntry>,
@@ -402,66 +404,79 @@ impl OnlineFlat {
         }
     }
 
-    /// Checkpoints the frontier (see `cace_hdbn::park` for the contract).
-    pub(crate) fn park(&self) -> ParkedFlat {
+    /// Parks the frontier by value, moving its buffers (see
+    /// `cace_hdbn::park` for the contract).
+    pub(crate) fn into_parked(self) -> ParkedFlat {
+        let TrellisParts {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        } = self.core.into_parts();
         ParkedFlat {
-            v: self.core.frontier().to_vec(),
-            v32: self.core.frontier32().to_vec(),
-            window: self
-                .core
-                .entries()
-                .map(|e| ParkedFlatEntry {
-                    states: e.states.clone(),
-                    back: e.back.clone(),
-                })
-                .collect(),
-            base: self.core.base(),
-            pushed: self.core.ticks_pushed(),
-            emitted: self.emitted.clone(),
-            states_explored: self.core.states_explored(),
-            transition_ops: self.core.transition_ops(),
-            pruned: self.core.pruned(),
-            keep: self.core.keep().to_vec(),
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            emitted: self.emitted,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
         }
     }
 
-    /// Rehydrates a parked frontier; bit-identical continuation against
-    /// the same `table`, `lag`, and `decoder` the stream was opened with.
+    /// Rehydrates a parked frontier by value; bit-identical continuation
+    /// against the same `table`, `lag`, and `decoder` the stream was
+    /// opened with.
     ///
     /// # Errors
     /// [`ModelError::Persistence`] when the parked state is structurally
     /// inconsistent with the table.
-    pub(crate) fn resume(
+    pub(crate) fn from_parked(
         table: &FlatTable,
         lag: Lag,
         decoder: DecoderConfig,
-        parked: &ParkedFlat,
+        parked: ParkedFlat,
     ) -> Result<Self, ModelError> {
         parked.validate(table, decoder.precision, lag)?;
-        let window: VecDeque<FlatEntry> = parked
-            .window
-            .iter()
-            .map(|e| FlatEntry {
-                states: e.states.clone(),
-                emit: Vec::new(),
-                back: e.back.clone(),
-            })
-            .collect();
+        let ParkedFlat {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            emitted,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        } = parked;
+        let parts = TrellisParts {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        };
         Ok(Self {
             decoder,
-            core: OnlineTrellis::from_parts(
-                lag,
-                parked.v.clone(),
-                parked.v32.clone(),
-                window,
-                parked.base,
-                parked.pushed,
-                parked.states_explored,
-                parked.transition_ops,
-                parked.pruned,
-                &parked.keep,
-            ),
-            emitted: parked.emitted.clone(),
+            core: OnlineTrellis::from_parts(lag, parts),
+            emitted,
         })
     }
 

@@ -23,10 +23,15 @@
 //!   just before their own push.
 //! * **LRU live cap.** Each shard keeps at most `live_cap` homes live;
 //!   the least-recently-pushed overflow is transparently **parked** —
+//!   moved out of its stream (no copy) and
 //!   serialized to versioned binary snapshot bytes
 //!   ([`ParkedStream::to_snapshot_bytes`]) — and rehydrated on its next
 //!   push with a bit-identical continuation. A capped router's decisions
-//!   equal an uncapped one's (`tests/router_scale.rs` proves it).
+//!   equal an uncapped one's (`tests/router_scale.rs` proves it). Each
+//!   shard keeps the parked value it encoded last as a *spare*: the next
+//!   rehydration decodes into its buffers and resumes by value, so a
+//!   park/rehydrate cycle moves buffers instead of copying and re-growing
+//!   them.
 //! * **Fault containment.** A failing push, a tampered parked snapshot,
 //!   or a checkpoint that does not match its model **quarantines** that
 //!   home ([`HomeRound::Failed`], then [`HomeRound::Quarantined`]) and
@@ -64,7 +69,7 @@ use rayon::prelude::*;
 use crate::engine::{CaceEngine, Recognition};
 use crate::snapshot::{fnv1a64, ModelRecord};
 use crate::stream::{
-    resume_shared, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
+    resume_owned, stream_shared, ParkedStream, StreamDecision, StreamingRecognizer,
 };
 
 fn config_err(what: impl Into<String>) -> ModelError {
@@ -122,6 +127,9 @@ struct HomeSlot {
     /// Last-touch stamp; stale [`Shard::lru`] entries are detected by
     /// comparing against it (lazy deletion).
     touch: u64,
+    /// Byte length of the home's last parked snapshot: the size hint for
+    /// the writer of its next park (0 before the first).
+    parked_len: usize,
     state: SlotState,
 }
 
@@ -180,9 +188,9 @@ struct ServeView {
 enum SlotState {
     Live(Box<StreamingRecognizer<'static>>),
     /// Parked snapshot bytes: the binary `kind=stream-bin` envelope the
-    /// router parks into, or the JSON envelope (UTF-8) of an
-    /// [`import_home`](ShardedRouter::import_home). Rehydration sniffs the
-    /// header, so both resume.
+    /// router parks into, or whatever an
+    /// [`import_home`](ShardedRouter::import_home) brought (typically the
+    /// JSON envelope). Rehydration sniffs the header, so both resume.
     Parked(Vec<u8>),
     Quarantined(ModelError),
 }
@@ -296,6 +304,16 @@ struct Shard {
     /// Per-shard logical clock stamping touches. Advances only on
     /// in-shard events, so it is independent of thread interleaving.
     clock: u64,
+    /// Homes currently live, kept by [`Shard::set_state`] at every slot
+    /// state transition, so the cap check is O(1) instead of a scan.
+    live: usize,
+    /// The parked value this shard encoded last, kept after its bytes
+    /// were written: its window entries, frontier, history, pooled
+    /// entries and arena are the decode target of the shard's next
+    /// rehydration, so a park/rehydrate cycle re-grows nothing. At most
+    /// one per shard; a decode overwrites every field of it, so nothing
+    /// of one home's state reaches another.
+    spare: Option<ParkedStream>,
     parks: u64,
     rehydrations: u64,
     swaps: u64,
@@ -339,19 +357,39 @@ impl Shard {
         }
     }
 
-    fn live_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s.state, SlotState::Live(_)))
-            .count()
+    /// Replaces a slot's state — the one place slot states change after
+    /// insertion, so the live counter follows every Live ↔ Parked ↔
+    /// Quarantined transition. Returns the previous state.
+    fn set_state(&mut self, slot: usize, state: SlotState) -> SlotState {
+        let is_live = |s: &SlotState| usize::from(matches!(s, SlotState::Live(_)));
+        let old = std::mem::replace(&mut self.slots[slot].state, state);
+        self.live = self.live + is_live(&self.slots[slot].state) - is_live(&old);
+        old
+    }
+
+    /// Parks the home in `slot` if it is live: its stream moves into
+    /// parked form (no copy), is encoded to binary snapshot bytes, and
+    /// the parked value becomes the shard's spare.
+    fn park(&mut self, slot: usize) {
+        if !matches!(self.slots[slot].state, SlotState::Live(_)) {
+            return;
+        }
+        let SlotState::Live(stream) = self.set_state(slot, SlotState::Parked(Vec::new())) else {
+            return;
+        };
+        let parked = stream.into_parked();
+        let bytes = parked.to_snapshot_bytes_sized(self.slots[slot].parked_len);
+        self.slots[slot].parked_len = bytes.len();
+        self.slots[slot].state = SlotState::Parked(bytes);
+        self.spare = Some(parked);
+        self.parks += 1;
     }
 
     /// Parks least-recently-touched live homes until at most `cap` remain
     /// live. Deterministic: eviction order is touch order, which is
-    /// in-shard push order.
+    /// in-shard push order. O(1) when the shard is within its cap.
     fn enforce_cap(&mut self, cap: usize) {
-        let mut live = self.live_count();
-        while live > cap {
+        while self.live > cap {
             let Some((touch, slot)) = self.lru.pop_front() else {
                 // Invariant breach: more live homes than the cap allows,
                 // but the LRU queue has no entry left for any of them.
@@ -370,25 +408,15 @@ impl Shard {
                 let Some(slot) = victim else {
                     break; // nothing live after all — nothing to park
                 };
-                if let SlotState::Live(stream) = &self.slots[slot].state {
-                    let bytes = stream.park().to_snapshot_bytes();
-                    self.slots[slot].state = SlotState::Parked(bytes);
-                    self.parks += 1;
-                    self.lru_repairs += 1;
-                    live -= 1;
-                }
+                self.park(slot);
+                self.lru_repairs += 1;
                 continue;
             };
-            if self.slots[slot].touch != touch {
-                continue; // stale entry — the home was touched again later
+            // A stale entry (the home was touched again later) is skipped;
+            // a parked or quarantined slot's entry is simply consumed.
+            if self.slots[slot].touch == touch {
+                self.park(slot);
             }
-            if let SlotState::Live(stream) = &self.slots[slot].state {
-                let bytes = stream.park().to_snapshot_bytes();
-                self.slots[slot].state = SlotState::Parked(bytes);
-                self.parks += 1;
-                live -= 1;
-            }
-            // A parked/quarantined slot's entry is simply consumed.
         }
     }
 
@@ -405,24 +433,27 @@ impl Shard {
         // after a rollback); an unknown fingerprint falls through to the
         // resume gate and quarantines.
         if let SlotState::Parked(bytes) = &self.slots[slot].state {
-            let rehydrated = ParkedStream::from_snapshot_any(bytes).and_then(|parked| {
+            let parked_len = bytes.len();
+            let mut parked = self.spare.take().unwrap_or_default();
+            let rehydrated = parked.read_snapshot_into(bytes).and_then(|()| {
                 let fp = parked.model_fingerprint();
-                if fp != view.engine.params.fingerprint() && view.known_fps.contains(&fp) {
-                    let migrated = parked.migrated_to(&view.engine);
-                    resume_shared(&view.engine, &migrated).map(|s| (s, true))
-                } else {
-                    resume_shared(&view.engine, &parked).map(|s| (s, false))
+                let serving = view.engine.params.fingerprint();
+                let migrate = fp != serving && view.known_fps.contains(&fp);
+                if migrate {
+                    parked.model_fp = serving;
                 }
+                resume_owned(&view.engine, parked).map(|s| (s, migrate))
             });
+            self.slots[slot].parked_len = parked_len;
             match rehydrated {
                 Ok((stream, swapped)) => {
-                    self.slots[slot].state = SlotState::Live(Box::new(stream));
+                    self.set_state(slot, SlotState::Live(Box::new(stream)));
                     self.slots[slot].generation = view.generation;
                     self.rehydrations += 1;
                     self.swaps += u64::from(swapped);
                 }
                 Err(e) => {
-                    self.slots[slot].state = SlotState::Quarantined(e.clone());
+                    self.set_state(slot, SlotState::Quarantined(e.clone()));
                     return HomeRound::Failed(e);
                 }
             }
@@ -441,7 +472,7 @@ impl Shard {
                     self.swaps += 1;
                 }
                 Some(Err(e)) => {
-                    self.slots[slot].state = SlotState::Quarantined(e.clone());
+                    self.set_state(slot, SlotState::Quarantined(e.clone()));
                     return HomeRound::Failed(e);
                 }
                 None => {}
@@ -456,19 +487,20 @@ impl Shard {
                 stream.capture_drift(window);
             }
         }
+        // Rehydration above left a parked home live or quarantined.
         let outcome = match &mut self.slots[slot].state {
-            SlotState::Quarantined(_) => HomeRound::Quarantined,
-            SlotState::Parked(_) => unreachable!("rehydrated or quarantined above"),
             SlotState::Live(stream) => match stream.push(tick) {
                 Ok(decision) => HomeRound::Advanced(decision),
-                Err(e) => {
-                    self.slots[slot].state = SlotState::Quarantined(e.clone());
-                    HomeRound::Failed(e)
-                }
+                Err(e) => HomeRound::Failed(e),
             },
+            _ => HomeRound::Quarantined,
         };
-        if matches!(outcome, HomeRound::Advanced(_)) {
-            self.touch(slot);
+        match &outcome {
+            HomeRound::Advanced(_) => self.touch(slot),
+            HomeRound::Failed(e) => {
+                self.set_state(slot, SlotState::Quarantined(e.clone()));
+            }
+            HomeRound::Quarantined => {}
         }
         self.pushes += 1;
         self.push_nanos += start.elapsed().as_nanos() as u64;
@@ -591,9 +623,11 @@ impl ShardedRouter {
         self.insert(id, model, generation, SlotState::Live(Box::new(stream)))
     }
 
-    /// Registers a home directly from parked snapshot bytes — e.g. state
-    /// handed over from another process. The checkpoint carries its own
-    /// lag and decoder config; the bytes are *not* validated here — a bad
+    /// Registers a home directly from parked snapshot bytes — the
+    /// portable JSON kind handed over from another process (a `String`
+    /// from [`export_home`](Self::export_home)), or the binary kind from
+    /// another router of this build. The checkpoint carries its own lag
+    /// and decoder config; the bytes are *not* validated here — a bad
     /// checkpoint quarantines the home on its first push (never panics),
     /// exactly like bytes that went bad while parked.
     ///
@@ -604,16 +638,11 @@ impl ShardedRouter {
         &mut self,
         id: u64,
         model: &str,
-        snapshot: String,
+        snapshot: impl Into<Vec<u8>>,
     ) -> Result<(), ModelError> {
         let model = self.model_index(model)?;
         let generation = self.models[model].current;
-        self.insert(
-            id,
-            model,
-            generation,
-            SlotState::Parked(snapshot.into_bytes()),
-        )
+        self.insert(id, model, generation, SlotState::Parked(snapshot.into()))
     }
 
     fn insert(
@@ -629,15 +658,18 @@ impl ShardedRouter {
             return Err(config_err(format!("home id {id} is already registered")));
         }
         let slot = shard.slots.len();
+        let live = matches!(state, SlotState::Live(_));
         shard.slots.push(HomeSlot {
             id,
             model,
             generation,
             touch: 0,
+            parked_len: 0,
             state,
         });
         shard.index.insert(id, slot);
-        if matches!(shard.slots[slot].state, SlotState::Live(_)) {
+        if live {
+            shard.live += 1;
             shard.touch(slot);
             shard.enforce_cap(self.live_cap);
         }
@@ -702,10 +734,8 @@ impl ShardedRouter {
         match &shard.slots[slot].state {
             SlotState::Parked(_) => Ok(()),
             SlotState::Quarantined(e) => Err(e.clone()),
-            SlotState::Live(stream) => {
-                let bytes = stream.park().to_snapshot_bytes();
-                shard.slots[slot].state = SlotState::Parked(bytes);
-                shard.parks += 1;
+            SlotState::Live(_) => {
+                shard.park(slot);
                 Ok(())
             }
         }
@@ -1054,7 +1084,7 @@ impl ShardedRouter {
                                             e.params.fingerprint() == parked.model_fingerprint()
                                         })
                                         .unwrap_or(&entry.engines[entry.current]);
-                                    resume_shared(engine, &parked)
+                                    resume_owned(engine, parked)
                                 })
                                 .and_then(|stream| stream.finish()),
                         };
@@ -1080,6 +1110,7 @@ impl Default for ShardedRouter {
 mod tests {
     use super::*;
     use crate::engine::CaceConfig;
+    use crate::strategy::Strategy;
     use cace_behavior::{
         cace_grammar, generate_cace_dataset, session::train_test_split, Session, SessionConfig,
     };
@@ -1700,5 +1731,196 @@ mod tests {
         assert_eq!(rec.macros, batch.macros);
         assert_eq!(rec.states_explored, batch.states_explored);
         assert_eq!(rec.transition_ops, batch.transition_ops);
+    }
+
+    /// The per-shard live counter must equal a full scan of the slots.
+    fn assert_live_counter(router: &ShardedRouter, step: &str) {
+        for (i, shard) in router.shards.iter().enumerate() {
+            let scan = shard
+                .slots
+                .iter()
+                .filter(|s| matches!(s.state, SlotState::Live(_)))
+                .count();
+            assert_eq!(shard.live, scan, "shard {i} after {step}");
+        }
+    }
+
+    #[test]
+    fn live_counter_follows_every_slot_transition() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let ticks = &test[0].ticks;
+        let lag = Lag::Fixed(4);
+        let mut router = ShardedRouter::with_shards(1).with_live_cap(2);
+        router.register_model("cace", Arc::clone(&engine)).unwrap();
+        // Insert: live homes, the third parks the oldest (enforce_cap).
+        for id in [1, 2, 3] {
+            router.add_home(id, "cace", lag).unwrap();
+            assert_live_counter(&router, "add_home");
+        }
+        // Push: rehydrations and LRU parks.
+        for tick in &ticks[..6] {
+            router
+                .push_round(&[
+                    (1, &tick.observed),
+                    (2, &tick.observed),
+                    (3, &tick.observed),
+                ])
+                .unwrap();
+            assert_live_counter(&router, "push_round");
+        }
+        // Explicit park and export (a live home parks first).
+        let live = *[1, 2, 3]
+            .iter()
+            .find(|&&id| router.home_status(id) == Some(HomeStatus::Live))
+            .unwrap();
+        router.park_home(live).unwrap();
+        assert_live_counter(&router, "park_home");
+        let live = *[1, 2, 3]
+            .iter()
+            .find(|&&id| router.home_status(id) == Some(HomeStatus::Live))
+            .unwrap();
+        let exported = router.export_home(live).unwrap();
+        assert_live_counter(&router, "export_home");
+        // Imports: one intact, one tampered (quarantines when it rehydrates).
+        router.import_home(4, "cace", exported.clone()).unwrap();
+        let flip_at = exported.rfind("0.").unwrap();
+        let mut tampered = exported;
+        tampered.replace_range(flip_at..flip_at + 1, "9");
+        router.import_home(5, "cace", tampered).unwrap();
+        assert_live_counter(&router, "import_home");
+        let tick = &ticks[6].observed;
+        let round = router.push_round(&[(4, tick), (5, tick)]).unwrap();
+        assert!(matches!(round[0], HomeRound::Advanced(_)));
+        assert!(matches!(
+            round[1],
+            HomeRound::Failed(ModelError::Persistence { .. })
+        ));
+        assert_live_counter(&router, "tampered rehydration");
+        // A failing push quarantines a live home.
+        let slot = router.shards[0].index[&4];
+        match &mut router.shards[0].slots[slot].state {
+            SlotState::Live(stream) => stream.poison_tick = Some(stream.ticks_pushed()),
+            _ => panic!("home 4 was just pushed, so it is live"),
+        }
+        let round = router.push_round(&[(4, &ticks[7].observed)]).unwrap();
+        assert!(matches!(
+            round[0],
+            HomeRound::Failed(ModelError::EmptyStateSpace { .. })
+        ));
+        assert_live_counter(&router, "poisoned push");
+        // A live swap leaves liveness alone.
+        router.publish_model("cace", arc_engine(&train)).unwrap();
+        router
+            .push_round(&[(1, &ticks[8].observed), (2, &ticks[8].observed)])
+            .unwrap();
+        assert_live_counter(&router, "swap");
+        assert_eq!(router.stats().live_homes(), router.shards[0].live);
+    }
+
+    #[test]
+    fn every_single_byte_corruption_of_binary_parked_bytes_quarantines_only_its_home() {
+        let (train, test) = corpus();
+        let engine = arc_engine(&train);
+        let session = &test[0];
+        let lag = Lag::Fixed(3);
+        let mut reference = stream_shared(&engine, lag);
+        for tick in &session.ticks[..10] {
+            reference.push(&tick.observed).unwrap();
+        }
+        let bytes = reference.park().to_snapshot_bytes();
+        // One shard: every corrupted copy, the intact bytes and a live home
+        // are shard-mates.
+        let mut router = ShardedRouter::with_shards(1);
+        router.register_model("cace", Arc::clone(&engine)).unwrap();
+        router.import_home(0, "cace", bytes.clone()).unwrap();
+        router.add_home(1, "cace", lag).unwrap();
+        let mut round = vec![
+            (0, &session.ticks[10].observed),
+            (1, &session.ticks[0].observed),
+        ];
+        for (i, mask) in (0..bytes.len()).flat_map(|i| [(i, 0xff), (i, 0x01)]) {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= mask;
+            let id = 2 + round.len() as u64;
+            router.import_home(id, "cace", corrupted).unwrap();
+            round.push((id, &session.ticks[10].observed));
+        }
+        let outcomes = router.push_round(&round).unwrap();
+        assert_eq!(
+            outcomes[0].decision(),
+            reference.push(&session.ticks[10].observed).unwrap(),
+            "the intact bytes continue the stream"
+        );
+        assert!(matches!(outcomes[1], HomeRound::Advanced(_)));
+        for ((id, _), outcome) in round.iter().zip(&outcomes).skip(2) {
+            assert!(
+                matches!(outcome, HomeRound::Failed(ModelError::Persistence { .. })),
+                "home {id}: {outcome:?}"
+            );
+        }
+        assert_eq!(router.quarantined().len(), round.len() - 2);
+        // The shard-mates keep serving.
+        let outcomes = router
+            .push_round(&[
+                (0, &session.ticks[11].observed),
+                (1, &session.ticks[1].observed),
+            ])
+            .unwrap();
+        assert!(outcomes.iter().all(|o| matches!(o, HomeRound::Advanced(_))));
+    }
+
+    #[test]
+    fn recycled_spares_cross_models_and_lags_without_carrying_state() {
+        let (train, test) = corpus();
+        let sessions: Vec<&Session> = train.iter().chain(&test).collect();
+        let mut router = ShardedRouter::with_shards(1).with_live_cap(1);
+        let mut engines = Vec::new();
+        for strategy in [
+            Strategy::CorrelationConstraint,
+            Strategy::NaiveHmm,
+            Strategy::NaiveCorrelation,
+        ] {
+            let engine = Arc::new(
+                CaceEngine::train(&train, &CaceConfig::default().with_strategy(strategy)).unwrap(),
+            );
+            router
+                .register_model(format!("{strategy:?}"), Arc::clone(&engine))
+                .unwrap();
+            engines.push((format!("{strategy:?}"), engine));
+        }
+        // Consecutive homes differ in model and lag, so every rehydration
+        // decodes into the spare another model and lag left behind.
+        let lags = [Lag::Fixed(3), Lag::Fixed(6), Lag::Unbounded];
+        let mut dedicated = Vec::new();
+        for id in 0..7usize {
+            let (name, engine) = &engines[id % engines.len()];
+            let lag = lags[(id / 2) % lags.len()];
+            router.add_home(id as u64, name, lag).unwrap();
+            dedicated.push(stream_shared(engine, lag));
+        }
+        let ticks = sessions.iter().map(|s| s.len()).min().unwrap();
+        for t in 0..ticks {
+            let round: Vec<(u64, &ObservedTick)> = (0..dedicated.len())
+                .map(|id| (id as u64, &sessions[id % sessions.len()].ticks[t].observed))
+                .collect();
+            let outcomes = router.push_round(&round).unwrap();
+            for ((outcome, stream), (_, tick)) in outcomes.iter().zip(&mut dedicated).zip(&round) {
+                assert!(matches!(outcome, HomeRound::Advanced(_)), "tick {t}");
+                assert_eq!(outcome.decision(), stream.push(tick).unwrap(), "tick {t}");
+            }
+        }
+        assert!(router.stats().rehydrations() > 0);
+        for ((id, got), want) in router.finish().into_iter().zip(dedicated) {
+            let (got, want) = (got.unwrap(), want.finish().unwrap());
+            assert_eq!(got.macros, want.macros, "home {id}");
+            assert_eq!(got.states_explored, want.states_explored, "home {id}");
+            assert_eq!(got.transition_ops, want.transition_ops, "home {id}");
+            assert_eq!(got.rules_fired, want.rules_fired, "home {id}");
+            assert_eq!(
+                got.mean_joint_size.to_bits(),
+                want.mean_joint_size.to_bits()
+            );
+        }
     }
 }

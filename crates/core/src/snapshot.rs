@@ -11,6 +11,29 @@
 //! <one-line JSON payload>
 //! ```
 //!
+//! A parked stream also has a **binary** kind, the serving tier's
+//! process-local park format ([`ParkedStream::to_snapshot_bytes`]):
+//!
+//! ```text
+//! CACE-SNAPSHOT v4 kind=stream-bin fnv64w=<16-hex checksum> len=<payload bytes>
+//! <raw little-endian payload>
+//! ```
+//!
+//! Its checksum is word-wise — FNV-1a steps over little-endian `u64`
+//! words, the tail bytes one at a time, the length folded in — so it costs
+//! one multiply per eight bytes where the text kinds' byte-serial FNV-1a
+//! costs one per byte; each step is a bijection of the running hash, so
+//! any single-byte corruption of the payload is always detected, and the
+//! checksum is verified before any byte is decoded. The binary envelope
+//! has its own version (v4) and checksum token, so it cannot be mistaken
+//! for the v3 binary form with the byte-serial checksum, which this build
+//! rejects by version. Binary bytes follow this build's decoder layout
+//! and are meant to stay inside one serving process; the JSON kinds are
+//! the portable formats ([`ShardedRouter::export_home`] hands a home over
+//! as JSON). Engine snapshots, JSON stream snapshots and model records
+//! keep v3 and `fnv1a64`, which also remains the router's home→shard
+//! hash.
+//!
 //! The v3 payload leads with a `"kind"` discriminator (`"engine"` or
 //! `"stream"`), so each reader can reject the other kind's bytes with a
 //! clear error instead of a field-level parse failure. v2 payloads predate
@@ -46,7 +69,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::CaceEngine;
 use crate::evidence::PrevState;
-use crate::nh::{ParkedFlat, ParkedFlatEntry};
+use crate::nh::ParkedFlat;
+#[cfg(doc)]
+use crate::router::ShardedRouter;
 use crate::strategy::Strategy;
 use crate::stream::{ParkedDecoder, ParkedStream};
 
@@ -392,6 +417,50 @@ impl ModelRecord {
 
 /// Binary-kind discriminator token in the snapshot header line.
 const BIN_KIND: &str = "kind=stream-bin";
+/// Version of the binary parked-stream envelope. v4 replaced v3's
+/// byte-serial `fnv1a64` checksum with the word-wise [`fnv64_words`]
+/// under its own token ([`BIN_SUM`]); the payload encoding is unchanged.
+const BIN_VERSION: u32 = 4;
+/// Checksum token of the binary envelope (`<token>=<16 hex digits>`).
+const BIN_SUM: &str = "fnv64w";
+/// Upper bound on the binary header line's length (magic, version, kind,
+/// checksum, a 20-digit length, newline).
+const BIN_HEADER_MAX: usize = 96;
+
+/// Word-at-a-time 64-bit FNV-style checksum of the binary envelope: the
+/// FNV-1a step over little-endian `u64` words, the tail one byte at a
+/// time, then the length. One dependent multiply per 8 bytes instead of
+/// per byte. Each step `h ↦ (h ^ x) · p` is a bijection of `h` for a fixed
+/// word `x` (the FNV prime is odd), so changing any single word — in
+/// particular any single byte — of a same-length payload always changes
+/// the checksum; length changes are folded in and checked separately.
+fn fnv64_words(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        hash = (hash ^ u64::from_le_bytes(w)).wrapping_mul(PRIME);
+    }
+    for &b in words.remainder() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    (hash ^ bytes.len() as u64).wrapping_mul(PRIME)
+}
+
+/// Writes the binary header line into `out`, returning its length (the
+/// checksum is fixed-width, so the length depends only on `len`).
+fn write_bin_header(out: &mut [u8; BIN_HEADER_MAX], checksum: u64, len: usize) -> usize {
+    use std::io::Write;
+    let mut cursor: &mut [u8] = out;
+    // Cannot fail: the longest header fits `BIN_HEADER_MAX`.
+    let _ = writeln!(
+        cursor,
+        "{MAGIC} v{BIN_VERSION} {BIN_KIND} {BIN_SUM}={checksum:016x} len={len}"
+    );
+    BIN_HEADER_MAX - cursor.len()
+}
 
 fn write_strategy(w: &mut ByteWriter, s: Strategy) {
     w.write_u8(match s {
@@ -413,42 +482,43 @@ fn read_strategy(r: &mut ByteReader<'_>) -> Result<Strategy, ModelError> {
 }
 
 fn write_flat(w: &mut ByteWriter, f: &ParkedFlat) {
-    w.write_seq(&f.v, |w, &x| w.write_f64(x));
-    w.write_seq(&f.v32, |w, &x| w.write_f32(x));
+    w.write_f64s(&f.v);
+    w.write_f32s(&f.v32);
     w.write_seq(&f.window, |w, e| {
         w.write_seq(&e.states, |w, &(a, c)| {
             w.write_usize(a);
             w.write_usize(c);
         });
-        w.write_seq(&e.back, |w, &x| w.write_u32(x));
+        w.write_varints(&e.back);
     });
     w.write_usize(f.base);
     w.write_usize(f.pushed);
-    w.write_seq(&f.emitted, |w, &x| w.write_usize(x));
+    w.write_varints(&f.emitted);
     w.write_u64(f.states_explored);
     w.write_u64(f.transition_ops);
     w.write_bool(f.pruned);
-    w.write_seq(&f.keep, |w, &x| w.write_u32(x));
+    w.write_varints(&f.keep);
 }
 
-fn read_flat(r: &mut ByteReader<'_>) -> Result<ParkedFlat, ModelError> {
-    Ok(ParkedFlat {
-        v: r.read_seq(8, ByteReader::read_f64)?,
-        v32: r.read_seq(4, ByteReader::read_f32)?,
-        window: r.read_seq(1, |r| {
-            Ok(ParkedFlatEntry {
-                states: r.read_seq(2, |r| Ok((r.read_usize()?, r.read_usize()?)))?,
-                back: r.read_seq(1, ByteReader::read_u32)?,
-            })
-        })?,
-        base: r.read_usize()?,
-        pushed: r.read_usize()?,
-        emitted: r.read_seq(1, ByteReader::read_usize)?,
-        states_explored: r.read_u64()?,
-        transition_ops: r.read_u64()?,
-        pruned: r.read_bool()?,
-        keep: r.read_seq(1, ByteReader::read_u32)?,
-    })
+/// NH counterpart of `ParkedCoupled::decode_into`: overwrites every
+/// serialized field of `f`, reusing its buffers.
+fn read_flat_into(r: &mut ByteReader<'_>, f: &mut ParkedFlat) -> Result<(), ModelError> {
+    r.read_f64s_into(&mut f.v)?;
+    r.read_f32s_into(&mut f.v32)?;
+    let len = r.read_len(1)?;
+    f.spare.fit_window(&mut f.window, len);
+    for e in &mut f.window {
+        r.read_seq_into(&mut e.states, 2, |r| Ok((r.read_usize()?, r.read_usize()?)))?;
+        e.emit.clear();
+        r.read_varints_into(&mut e.back)?;
+    }
+    f.base = r.read_usize()?;
+    f.pushed = r.read_usize()?;
+    r.read_varints_into(&mut f.emitted)?;
+    f.states_explored = r.read_u64()?;
+    f.transition_ops = r.read_u64()?;
+    f.pruned = r.read_bool()?;
+    r.read_varints_into(&mut f.keep)
 }
 
 fn write_decoder_state(w: &mut ByteWriter, state: &ParkedDecoder) {
@@ -472,39 +542,151 @@ fn write_decoder_state(w: &mut ByteWriter, state: &ParkedDecoder) {
     }
 }
 
-fn read_decoder_state(r: &mut ByteReader<'_>) -> Result<ParkedDecoder, ModelError> {
-    match r.read_u8()? {
-        0 => Ok(ParkedDecoder::Nh([read_flat(r)?, read_flat(r)?])),
-        1 => Ok(ParkedDecoder::Single([
-            cace_hdbn::ParkedChain::decode_from(r)?,
-            cace_hdbn::ParkedChain::decode_from(r)?,
-        ])),
-        2 => Ok(ParkedDecoder::Coupled(
-            cace_hdbn::ParkedCoupled::decode_from(r)?,
-        )),
-        t => Err(persist_err(format!("unknown parked decoder tag {t}"))),
+/// Decodes the tagged decoder state into `state`. A target of another
+/// family is rebuilt as the recorded one, so buffers are only ever reused
+/// within a family, and every field is overwritten either way.
+fn read_decoder_state_into(
+    r: &mut ByteReader<'_>,
+    state: &mut ParkedDecoder,
+) -> Result<(), ModelError> {
+    let rebuilt = match (r.read_u8()?, &*state) {
+        (0, ParkedDecoder::Nh(_))
+        | (1, ParkedDecoder::Single(_))
+        | (2, ParkedDecoder::Coupled(_)) => None,
+        (0, _) => Some(ParkedDecoder::Nh(Default::default())),
+        (1, _) => Some(ParkedDecoder::Single(Default::default())),
+        (2, _) => Some(ParkedDecoder::Coupled(Default::default())),
+        (t, _) => return Err(persist_err(format!("unknown parked decoder tag {t}"))),
+    };
+    if let Some(rebuilt) = rebuilt {
+        *state = rebuilt;
+    }
+    match state {
+        ParkedDecoder::Nh(flats) => flats.iter_mut().try_for_each(|f| read_flat_into(r, f)),
+        ParkedDecoder::Single(chains) => chains.iter_mut().try_for_each(|c| c.decode_into(r)),
+        ParkedDecoder::Coupled(coupled) => coupled.decode_into(r),
     }
 }
 
+/// Checks the binary envelope — magic, version, kind, checksum token,
+/// stated length, then the checksum itself — and returns the verified
+/// payload. Nothing is decoded before this succeeds.
+fn verify_bin_envelope(bytes: &[u8]) -> Result<&[u8], ModelError> {
+    let newline = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| persist_err("binary snapshot has no header line"))?;
+    let header = std::str::from_utf8(&bytes[..newline])
+        .map_err(|_| persist_err("binary snapshot header is not UTF-8"))?;
+    let payload = &bytes[newline + 1..];
+    let mut tokens = header.split_whitespace();
+    if tokens.next() != Some(MAGIC) {
+        return Err(persist_err(format!(
+            "not a {MAGIC} file (header `{header}`)"
+        )));
+    }
+    let version = tokens
+        .next()
+        .and_then(|t| t.strip_prefix('v'))
+        .and_then(|t| t.parse::<u32>().ok())
+        .ok_or_else(|| persist_err(format!("malformed version in header `{header}`")))?;
+    if version != BIN_VERSION {
+        return Err(persist_err(format!(
+            "unsupported binary stream snapshot version {version} (this build reads \
+             v{BIN_VERSION}; binary parked bytes are process-local, export JSON to move them)"
+        )));
+    }
+    let kind = tokens
+        .next()
+        .ok_or_else(|| persist_err(format!("missing kind in header `{header}`")))?;
+    if kind != BIN_KIND {
+        return Err(persist_err(format!(
+            "snapshot token `{kind}` is not a binary parked stream"
+        )));
+    }
+    let stated = tokens
+        .next()
+        .and_then(|t| t.strip_prefix(BIN_SUM)?.strip_prefix('='))
+        .and_then(|t| u64::from_str_radix(t, 16).ok())
+        .ok_or_else(|| persist_err(format!("malformed checksum in header `{header}`")))?;
+    let len = tokens
+        .next()
+        .and_then(|t| t.strip_prefix("len="))
+        .and_then(|t| t.parse::<usize>().ok())
+        .ok_or_else(|| persist_err(format!("malformed length in header `{header}`")))?;
+    if len != payload.len() {
+        return Err(persist_err(format!(
+            "payload length mismatch: header says {len}, {} bytes follow",
+            payload.len()
+        )));
+    }
+    let actual = fnv64_words(payload);
+    if stated != actual {
+        return Err(persist_err(format!(
+            "checksum mismatch: header says {stated:016x}, payload hashes to {actual:016x}"
+        )));
+    }
+    Ok(payload)
+}
+
 impl ParkedStream {
-    /// Renders the parked stream as a **binary** snapshot: the same
-    /// checksummed envelope discipline as the JSON form, but with a
-    /// `kind=stream-bin` header token, an explicit payload byte length,
-    /// and the compact little-endian payload of [`cace_hdbn::wire`] —
-    /// floats as raw IEEE bits, so the round trip is bit-exact by
-    /// construction. Several times smaller and cheaper to encode/decode
-    /// than the JSON form; both kinds resume bit-identically.
+    /// Renders the parked stream as a **binary** snapshot: a
+    /// `kind=stream-bin` header line with a word-wise checksum and the
+    /// payload byte length, then the compact little-endian payload of
+    /// [`cace_hdbn::wire`] — floats as raw IEEE bits, so the round trip is
+    /// bit-exact by construction.
     ///
     /// ```text
-    /// CACE-SNAPSHOT v3 kind=stream-bin fnv1a64=<16-hex> len=<payload bytes>
+    /// CACE-SNAPSHOT v4 kind=stream-bin fnv64w=<16-hex> len=<payload bytes>
     /// <raw payload bytes>
     /// ```
+    ///
+    /// The checksum folds the payload eight bytes at a time (FNV-1a steps
+    /// over little-endian `u64` words, then the tail bytes, then the
+    /// length), so any single-byte corruption of the payload is always
+    /// detected; it is verified before any decode. Binary bytes are the
+    /// serving tier's **process-local** park format: the encoding follows
+    /// this build's decoder layout, and the version is bumped whenever the
+    /// envelope changes (a v3 binary header is rejected). The portable,
+    /// self-describing form is the JSON
+    /// [`to_snapshot_string`](Self::to_snapshot_string); both kinds resume
+    /// bit-identically.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        write_strategy(&mut w, self.strategy);
-        wire::write_decoder(&mut w, self.decoder);
-        wire::write_lag(&mut w, self.lag);
-        write_decoder_state(&mut w, &self.state);
+        self.to_snapshot_bytes_sized(0)
+    }
+
+    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) with the writer
+    /// pre-sized for a payload of about `payload_hint` bytes (a home's
+    /// previous parked length). The header is written in place in front
+    /// of the payload: whenever the hint has as many decimal digits as the
+    /// real length, nothing is re-copied.
+    pub(crate) fn to_snapshot_bytes_sized(&self, payload_hint: usize) -> Vec<u8> {
+        let mut header = [0u8; BIN_HEADER_MAX];
+        let reserved = write_bin_header(&mut header, 0, payload_hint);
+        let mut out = Vec::with_capacity(reserved + payload_hint);
+        out.resize(reserved, 0);
+        let mut w = ByteWriter::from_vec(out);
+        self.encode_payload(&mut w);
+        let mut out = w.into_bytes();
+        let payload_len = out.len() - reserved;
+        let n = write_bin_header(&mut header, fnv64_words(&out[reserved..]), payload_len);
+        if n == reserved {
+            out[..n].copy_from_slice(&header[..n]);
+        } else {
+            out.splice(..reserved, header[..n].iter().copied());
+        }
+        // Parked bytes stay resident: do not keep a grown writer's slack.
+        if out.capacity() - out.len() > out.len() / 8 {
+            out.shrink_to_fit();
+        }
+        out
+    }
+
+    fn encode_payload(&self, w: &mut ByteWriter) {
+        write_strategy(w, self.strategy);
+        wire::write_decoder(w, self.decoder);
+        wire::write_lag(w, self.lag);
+        write_decoder_state(w, &self.state);
         for prev in &self.prev {
             w.write_opt_usize(prev.macro_id);
             w.write_opt_usize(prev.location);
@@ -516,106 +698,47 @@ impl ParkedStream {
         w.write_u64(self.ncr_ops);
         w.write_f64(self.wall_seconds);
         w.write_u64(self.model_fp);
-        let payload = w.into_bytes();
-        let checksum = fnv1a64(&payload);
-        let mut out = format!(
-            "{MAGIC} v{VERSION} {BIN_KIND} fnv1a64={checksum:016x} len={}\n",
-            payload.len()
-        )
-        .into_bytes();
-        out.extend_from_slice(&payload);
-        out
+    }
+
+    /// Decodes a verified payload into `self`, overwriting every
+    /// serialized field and reusing its buffers.
+    fn decode_payload_into(&mut self, payload: &[u8]) -> Result<(), ModelError> {
+        let mut r = ByteReader::new(payload);
+        self.strategy = read_strategy(&mut r)?;
+        self.decoder = wire::read_decoder(&mut r)?;
+        self.lag = wire::read_lag(&mut r)?;
+        read_decoder_state_into(&mut r, &mut self.state)?;
+        for prev in &mut self.prev {
+            *prev = PrevState {
+                macro_id: r.read_opt_usize()?,
+                location: r.read_opt_usize()?,
+            };
+        }
+        self.pushed = r.read_usize()?;
+        self.joint_size_sum = r.read_f64()?;
+        self.rules_fired = r.read_u64()?;
+        self.ncr_prev_sqrt = r.read_u64()?;
+        self.ncr_ops = r.read_u64()?;
+        self.wall_seconds = r.read_f64()?;
+        self.model_fp = r.read_u64()?;
+        r.expect_end()
     }
 
     /// Reconstructs a parked stream from
-    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output. Envelope
-    /// checks (magic, version, kind, stated length, checksum) run before
-    /// any payload decode; like the JSON reader, structural validation
-    /// against a concrete engine happens at [`CaceEngine::resume`].
+    /// [`to_snapshot_bytes`](Self::to_snapshot_bytes) output (a default
+    /// value decoded into, like the serving tier's recycled decode).
+    /// Envelope checks (magic, version, kind, stated length, checksum) run
+    /// before any payload decode; like the JSON reader, structural
+    /// validation against a concrete engine happens at
+    /// [`CaceEngine::resume`].
     ///
     /// # Errors
-    /// [`ModelError::Persistence`] on a malformed header, a non-v3
+    /// [`ModelError::Persistence`] on a malformed header, a non-v4
     /// version, a non-binary kind, a length or checksum mismatch, or
     /// malformed payload bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| persist_err("binary snapshot has no header line"))?;
-        let header = std::str::from_utf8(&bytes[..newline])
-            .map_err(|_| persist_err("binary snapshot header is not UTF-8"))?;
-        let payload = &bytes[newline + 1..];
-        let mut tokens = header.split_whitespace();
-        if tokens.next() != Some(MAGIC) {
-            return Err(persist_err(format!(
-                "not a {MAGIC} file (header `{header}`)"
-            )));
-        }
-        let version = tokens
-            .next()
-            .and_then(|t| t.strip_prefix('v'))
-            .and_then(|t| t.parse::<u32>().ok())
-            .ok_or_else(|| persist_err(format!("malformed version in header `{header}`")))?;
-        if version != VERSION {
-            return Err(persist_err(format!(
-                "unsupported stream snapshot version {version} (this build reads v{VERSION})"
-            )));
-        }
-        let kind = tokens
-            .next()
-            .ok_or_else(|| persist_err(format!("missing kind in header `{header}`")))?;
-        if kind != BIN_KIND {
-            return Err(persist_err(format!(
-                "snapshot token `{kind}` is not a binary parked stream"
-            )));
-        }
-        let stated = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("fnv1a64="))
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| persist_err(format!("malformed checksum in header `{header}`")))?;
-        let len = tokens
-            .next()
-            .and_then(|t| t.strip_prefix("len="))
-            .and_then(|t| t.parse::<usize>().ok())
-            .ok_or_else(|| persist_err(format!("malformed length in header `{header}`")))?;
-        if len != payload.len() {
-            return Err(persist_err(format!(
-                "payload length mismatch: header says {len}, {} bytes follow",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if stated != actual {
-            return Err(persist_err(format!(
-                "checksum mismatch: header says {stated:016x}, payload hashes to {actual:016x}"
-            )));
-        }
-        let mut r = ByteReader::new(payload);
-        let parked = Self {
-            strategy: read_strategy(&mut r)?,
-            decoder: wire::read_decoder(&mut r)?,
-            lag: wire::read_lag(&mut r)?,
-            state: read_decoder_state(&mut r)?,
-            prev: [
-                PrevState {
-                    macro_id: r.read_opt_usize()?,
-                    location: r.read_opt_usize()?,
-                },
-                PrevState {
-                    macro_id: r.read_opt_usize()?,
-                    location: r.read_opt_usize()?,
-                },
-            ],
-            pushed: r.read_usize()?,
-            joint_size_sum: r.read_f64()?,
-            rules_fired: r.read_u64()?,
-            ncr_prev_sqrt: r.read_u64()?,
-            ncr_ops: r.read_u64()?,
-            wall_seconds: r.read_f64()?,
-            model_fp: r.read_u64()?,
-        };
-        r.expect_end()?;
+        let mut parked = Self::default();
+        parked.decode_payload_into(verify_bin_envelope(bytes)?)?;
         Ok(parked)
     }
 
@@ -628,6 +751,22 @@ impl ParkedStream {
     /// # Errors
     /// Those of the kind-specific reader the bytes route to.
     pub fn from_snapshot_any(bytes: &[u8]) -> Result<Self, ModelError> {
+        let mut parked = Self::default();
+        parked.read_snapshot_into(bytes)?;
+        Ok(parked)
+    }
+
+    /// The decoder behind [`from_snapshot_any`](Self::from_snapshot_any),
+    /// writing into `self`: a binary snapshot decodes into `self`'s
+    /// existing buffers (after the envelope verifies), a JSON one replaces
+    /// it. On error `self` may be partly overwritten and is fit only as
+    /// the target of another decode; on success no field of its previous
+    /// state survives.
+    ///
+    /// # Errors
+    /// Those of [`from_snapshot_bytes`](Self::from_snapshot_bytes) or
+    /// [`from_snapshot_str`](Self::from_snapshot_str).
+    pub(crate) fn read_snapshot_into(&mut self, bytes: &[u8]) -> Result<(), ModelError> {
         let header_end = bytes
             .iter()
             .position(|&b| b == b'\n')
@@ -635,11 +774,12 @@ impl ParkedStream {
         let is_binary = std::str::from_utf8(&bytes[..header_end])
             .is_ok_and(|h| h.split_whitespace().any(|t| t == BIN_KIND));
         if is_binary {
-            Self::from_snapshot_bytes(bytes)
+            self.decode_payload_into(verify_bin_envelope(bytes)?)
         } else {
             let text = std::str::from_utf8(bytes)
                 .map_err(|_| persist_err("snapshot is neither binary-kind nor UTF-8 text"))?;
-            Self::from_snapshot_str(text)
+            *self = Self::from_snapshot_str(text)?;
+            Ok(())
         }
     }
 }
@@ -894,7 +1034,7 @@ mod tests {
         }
         let bytes = stream.park().to_snapshot_bytes();
         let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
-        assert!(bytes.starts_with(b"CACE-SNAPSHOT v3 kind=stream-bin fnv1a64="));
+        assert!(bytes.starts_with(b"CACE-SNAPSHOT v4 kind=stream-bin fnv64w="));
 
         // Flip one payload byte: checksum mismatch, decode never runs.
         let mut corrupted = bytes.clone();
@@ -912,6 +1052,79 @@ mod tests {
         assert!(
             ParkedStream::from_snapshot_str(std::str::from_utf8(&bytes).unwrap_or("")).is_err()
         );
+    }
+
+    #[test]
+    fn every_single_byte_corruption_is_rejected_never_resumed() {
+        let (engine, sessions) = tiny_engine(Strategy::CorrelationConstraint);
+        let engine = Arc::new(engine);
+        let mut stream = crate::stream::stream_shared(&engine, cace_hdbn::Lag::Fixed(3));
+        for tick in &sessions[2].ticks[..10] {
+            stream.push(&tick.observed).unwrap();
+        }
+        let bytes = stream.park().to_snapshot_bytes();
+        // Header and payload alike, a flipped byte or bit never decodes
+        // into a stream: the envelope or the checksum rejects it first.
+        for i in 0..bytes.len() {
+            for mask in [0xff, 0x01] {
+                let mut corrupted = bytes.clone();
+                corrupted[i] ^= mask;
+                let resumed = ParkedStream::from_snapshot_bytes(&corrupted)
+                    .and_then(|parked| crate::stream::resume_shared(&engine, &parked));
+                assert!(
+                    matches!(resumed, Err(ModelError::Persistence { .. })),
+                    "byte {i} ^ {mask:#04x} was not rejected"
+                );
+            }
+        }
+        // The same payload under the v3 envelope (byte-wise checksum) is
+        // refused by version, by both readers.
+        let header_end = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let payload = &bytes[header_end + 1..];
+        let mut v3 = format!(
+            "{MAGIC} v3 {BIN_KIND} fnv1a64={:016x} len={}\n",
+            fnv1a64(payload),
+            payload.len()
+        )
+        .into_bytes();
+        v3.extend_from_slice(payload);
+        for err in [
+            ParkedStream::from_snapshot_bytes(&v3).unwrap_err(),
+            ParkedStream::from_snapshot_any(&v3).unwrap_err(),
+        ] {
+            assert!(matches!(err, ModelError::Persistence { .. }));
+            assert!(err.to_string().contains("version 3"), "{err}");
+        }
+    }
+
+    #[test]
+    fn recycled_rehydration_re_parks_to_identical_bytes_at_every_tick() {
+        use cace_hdbn::Lag;
+        // One spare serves every strategy, lag and tick in turn, so each
+        // decode lands in buffers another family, lag or window length
+        // left behind.
+        let mut spare = ParkedStream::default();
+        for (i, strategy) in Strategy::ALL.into_iter().enumerate() {
+            let (engine, sessions) = tiny_engine(strategy);
+            let engine = Arc::new(engine);
+            let lag = [Lag::Fixed(3), Lag::Unbounded][i % 2];
+            let mut stream = crate::stream::stream_shared(&engine, lag);
+            for tick in &sessions[2].ticks {
+                stream.push(&tick.observed).unwrap();
+                let bytes = stream.park().to_snapshot_bytes();
+                spare.read_snapshot_into(&bytes).unwrap();
+                let parked = crate::stream::resume_owned(&engine, spare)
+                    .unwrap()
+                    .into_parked();
+                assert_eq!(parked.to_snapshot_bytes(), bytes, "{strategy:?}");
+                // Pre-sizing never changes the bytes, whether the hint is
+                // short, exact, or long.
+                for hint in [1, bytes.len(), 10 * bytes.len()] {
+                    assert_eq!(parked.to_snapshot_bytes_sized(hint), bytes);
+                }
+                spare = parked;
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,7 @@ pub struct StreamDecision {
 // One value per stream, so the size spread between the arena-backed
 // hierarchical decoders and the flat NH frontier costs nothing per tick.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 enum Decoder {
     /// NH: one flat product frontier per user.
     Nh([OnlineFlat; 2]),
@@ -204,11 +205,24 @@ fn fresh_stream(engine: EngineRef<'_>, lag: Lag) -> StreamingRecognizer<'_> {
     }
 }
 
-/// Rehydrates a parked stream against `engine`, validating everything the
-/// resumed decoder would read before touching any frontier.
+impl Decoder {
+    /// The one live → parked conversion: moves every buffer of every
+    /// family frontier.
+    fn into_parked(self) -> ParkedDecoder {
+        match self {
+            Decoder::Nh([a, b]) => ParkedDecoder::Nh([a.into_parked(), b.into_parked()]),
+            Decoder::Single([a, b]) => ParkedDecoder::Single([a.into_parked(), b.into_parked()]),
+            Decoder::Coupled(online) => ParkedDecoder::Coupled(online.into_parked()),
+        }
+    }
+}
+
+/// Rehydrates a parked stream against `engine` by value — the one parked
+/// → live conversion: validates everything the resumed decoder would read
+/// before touching any frontier, then moves the parked buffers in.
 fn resume_impl<'a>(
     engine: EngineRef<'a>,
-    parked: &ParkedStream,
+    parked: ParkedStream,
 ) -> Result<StreamingRecognizer<'a>, ModelError> {
     let e: &CaceEngine = &engine;
     if parked.strategy != e.config.strategy {
@@ -255,37 +269,50 @@ fn resume_impl<'a>(
         ));
     }
     let cursor_err = || park_err("parked stream: decoder tick count disagrees with the cursor");
-    let decoder = match (&parked.state, e.config.strategy) {
-        (ParkedDecoder::Nh(flats), Strategy::NaiveHmm) => {
-            if flats.iter().any(|f| f.ticks_pushed() != parked.pushed) {
+    let ParkedStream {
+        lag,
+        state,
+        prev,
+        pushed,
+        joint_size_sum,
+        rules_fired,
+        ncr_prev_sqrt,
+        ncr_ops,
+        wall_seconds,
+        ..
+    } = parked;
+    let decoder = match (state, e.config.strategy) {
+        (ParkedDecoder::Nh([a, b]), Strategy::NaiveHmm) => {
+            if a.ticks_pushed() != pushed || b.ticks_pushed() != pushed {
                 return Err(cursor_err());
             }
+            let (table, config) = (&e.nh_log_trans, e.config.decoder);
             Decoder::Nh([
-                OnlineFlat::resume(&e.nh_log_trans, parked.lag, e.config.decoder, &flats[0])?,
-                OnlineFlat::resume(&e.nh_log_trans, parked.lag, e.config.decoder, &flats[1])?,
+                OnlineFlat::from_parked(table, lag, config, a)?,
+                OnlineFlat::from_parked(table, lag, config, b)?,
             ])
         }
-        (ParkedDecoder::Single(chains), Strategy::NaiveCorrelation) => {
-            if chains.iter().any(|c| c.ticks_pushed() != parked.pushed) {
+        (ParkedDecoder::Single([a, b]), Strategy::NaiveCorrelation) => {
+            if a.ticks_pushed() != pushed || b.ticks_pushed() != pushed {
                 return Err(cursor_err());
             }
             let model =
                 SingleHdbn::from_shared(Arc::clone(&e.params)).with_decoder(e.config.decoder);
             Decoder::Single([
-                OnlineSingleViterbi::resume(model.clone(), 0, parked.lag, &chains[0])?,
-                OnlineSingleViterbi::resume(model, 1, parked.lag, &chains[1])?,
+                OnlineSingleViterbi::from_parked(model.clone(), 0, lag, a)?,
+                OnlineSingleViterbi::from_parked(model, 1, lag, b)?,
             ])
         }
         (
             ParkedDecoder::Coupled(coupled),
             Strategy::NaiveConstraint | Strategy::CorrelationConstraint,
         ) => {
-            if coupled.ticks_pushed() != parked.pushed {
+            if coupled.ticks_pushed() != pushed {
                 return Err(cursor_err());
             }
             let model =
                 CoupledHdbn::from_shared(Arc::clone(&e.params)).with_decoder(e.config.decoder);
-            Decoder::Coupled(OnlineCoupledViterbi::resume(model, parked.lag, coupled)?)
+            Decoder::Coupled(OnlineCoupledViterbi::from_parked(model, lag, coupled)?)
         }
         _ => {
             return Err(park_err(
@@ -295,16 +322,16 @@ fn resume_impl<'a>(
     };
     Ok(StreamingRecognizer {
         engine,
-        lag: parked.lag,
+        lag,
         decoder,
-        prev: parked.prev,
-        pushed: parked.pushed,
+        prev,
+        pushed,
         drift: None,
-        joint_size_sum: parked.joint_size_sum,
-        rules_fired: parked.rules_fired,
-        ncr_prev_sqrt: parked.ncr_prev_sqrt,
-        ncr_ops: parked.ncr_ops,
-        wall_seconds: parked.wall_seconds,
+        joint_size_sum,
+        rules_fired,
+        ncr_prev_sqrt,
+        ncr_ops,
+        wall_seconds,
         #[cfg(test)]
         poison_tick: None,
     })
@@ -330,7 +357,7 @@ impl CaceEngine {
     /// under a different strategy or decoder config, or is structurally
     /// inconsistent (tampered) — resume never panics on bad bytes.
     pub fn resume(&self, parked: &ParkedStream) -> Result<StreamingRecognizer<'_>, ModelError> {
-        resume_impl(EngineRef::Borrowed(self), parked)
+        resume_impl(EngineRef::Borrowed(self), parked.clone())
     }
 }
 
@@ -342,13 +369,28 @@ pub fn stream_shared(engine: &Arc<CaceEngine>, lag: Lag) -> StreamingRecognizer<
 }
 
 /// [`CaceEngine::resume`] over an [`Arc`]-shared engine — the `'static`
-/// counterpart used by the serving tier to rehydrate parked homes.
+/// counterpart for rehydrating parked homes: the by-value resume the
+/// serving tier uses, on a clone of `parked`.
 ///
 /// # Errors
 /// Exactly those of [`CaceEngine::resume`].
 pub fn resume_shared(
     engine: &Arc<CaceEngine>,
     parked: &ParkedStream,
+) -> Result<StreamingRecognizer<'static>, ModelError> {
+    resume_owned(engine, parked.clone())
+}
+
+/// By-value [`resume_shared`]: validates `parked`, then moves its buffers
+/// — and the reusable memory it carries — into the rehydrated stream. The
+/// counterpart of [`StreamingRecognizer::into_parked`], and what the
+/// serving tier rehydrates with.
+///
+/// # Errors
+/// Exactly those of [`CaceEngine::resume`].
+pub(crate) fn resume_owned(
+    engine: &Arc<CaceEngine>,
+    parked: ParkedStream,
 ) -> Result<StreamingRecognizer<'static>, ModelError> {
     resume_impl(EngineRef::Shared(Arc::clone(engine)), parked)
 }
@@ -476,8 +518,9 @@ impl StreamingRecognizer<'_> {
     /// Those of [`CaceEngine::resume`], minus the fingerprint gate (the
     /// migration is explicit here).
     pub fn swap_model(&mut self, engine: &Arc<CaceEngine>) -> Result<(), ModelError> {
-        let parked = self.park().migrated_to(engine);
-        let mut resumed = resume_impl(EngineRef::Shared(Arc::clone(engine)), &parked)?;
+        let mut parked = self.park();
+        parked.model_fp = engine.params.fingerprint();
+        let mut resumed = resume_owned(engine, parked)?;
         resumed.drift = self.drift.take();
         *self = resumed;
         Ok(())
@@ -485,21 +528,39 @@ impl StreamingRecognizer<'_> {
 
     /// Captures this stream's complete mid-stream state — trellis
     /// frontier, backpointer window, decision cursor, overhead counters —
-    /// as a serializable checkpoint. The live stream is untouched;
+    /// as a serializable checkpoint. The live stream is untouched:
+    /// the by-value conversion the serving tier parks with, on a copy of
+    /// the decoder.
     /// [`CaceEngine::resume`] / [`resume_shared`] continue from the
     /// checkpoint bit-identically.
     pub fn park(&self) -> ParkedStream {
+        ParkedStream {
+            state: self.decoder.clone().into_parked(),
+            ..self.checkpoint()
+        }
+    }
+
+    /// Parks the stream by value: the checkpoint [`park`](Self::park)
+    /// would take, with every decoder buffer *moved* rather than copied,
+    /// and the stream's reusable memory (pooled window entries, trellis
+    /// arena) carried along for [`resume_owned`] to reuse. Drift-capture
+    /// state is dropped, as on every park.
+    pub(crate) fn into_parked(self) -> ParkedStream {
+        let header = self.checkpoint();
+        ParkedStream {
+            state: self.decoder.into_parked(),
+            ..header
+        }
+    }
+
+    /// Everything of a checkpoint but the decoder state.
+    fn checkpoint(&self) -> ParkedStream {
         let engine: &CaceEngine = &self.engine;
-        let state = match &self.decoder {
-            Decoder::Nh(flats) => ParkedDecoder::Nh([flats[0].park(), flats[1].park()]),
-            Decoder::Single(chains) => ParkedDecoder::Single([chains[0].park(), chains[1].park()]),
-            Decoder::Coupled(online) => ParkedDecoder::Coupled(online.park()),
-        };
         ParkedStream {
             strategy: engine.config.strategy,
             decoder: engine.config.decoder,
             lag: self.lag,
-            state,
+            state: ParkedDecoder::default(),
             prev: self.prev,
             pushed: self.pushed,
             joint_size_sum: self.joint_size_sum,
@@ -639,17 +700,28 @@ pub(crate) enum ParkedDecoder {
     Coupled(ParkedCoupled),
 }
 
+impl Default for ParkedDecoder {
+    /// An empty coupled frontier — a placeholder a decode overwrites (and
+    /// rebuilds as the recorded family when that differs).
+    fn default() -> Self {
+        ParkedDecoder::Coupled(ParkedCoupled::default())
+    }
+}
+
 /// A complete mid-stream checkpoint of one home's [`StreamingRecognizer`]:
 /// everything [`CaceEngine::resume`] needs for a bit-identical
 /// continuation, and nothing engine-derived (the model itself is
 /// re-attached at resume, `Arc`-shared fleet-wide).
 ///
-/// Produced by [`StreamingRecognizer::park`]; serialized through the
-/// versioned snapshot layer ([`ParkedStream::to_snapshot_string`]) so
-/// parked bytes survive process restarts, and validated structurally on
-/// every resume — tampering yields [`ModelError::Persistence`], never a
-/// panic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Produced by [`StreamingRecognizer::park`] (the serving tier moves
+/// instead of copying); serialized through the
+/// versioned snapshot layer ([`ParkedStream::to_snapshot_string`], or the
+/// process-local binary [`ParkedStream::to_snapshot_bytes`]), and
+/// validated structurally on every resume — tampering yields
+/// [`ModelError::Persistence`], never a panic. A value the serving tier
+/// parked also carries its stream's reusable memory, which never
+/// serializes and never carries decode state: a clone starts without it.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParkedStream {
     pub(crate) strategy: Strategy,
     pub(crate) decoder: DecoderConfig,

@@ -18,6 +18,8 @@
 //! per tick when the slice is filled; after that, every transition
 //! evaluation in every kernel is a flat-array load.
 
+use serde::{Deserialize, Serialize};
+
 use crate::beam::BeamScratch;
 use crate::input::TickInput;
 use crate::params::HdbnParams;
@@ -35,7 +37,10 @@ use crate::viterbi::JointScratch;
 /// pure memoization, bit-identical to folding per state, and the main
 /// per-tick work reduction on top of flat-table scoring (a tick with
 /// `m` states over `D` distinct pairs folds `D/m` of the naive work).
-#[derive(Debug, Clone, Default)]
+///
+/// Every field is decode state, so a slice is also its own parked form
+/// (the fill-time lookup lives in [`FillScratch`]).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct Slice {
     /// Macro activity of each state.
     pub(crate) activities: Vec<usize>,
@@ -57,8 +62,6 @@ pub(crate) struct Slice {
     /// macro. The fold kernels use these to collapse switch transitions
     /// (postural-independent) to one per-run candidate.
     pub(crate) runs: Vec<(u32, u32, u32)>,
-    /// pair id → slot lookup (reset per fill; `u32::MAX` = unseen).
-    slot_lookup: Vec<u32>,
 }
 
 impl Slice {
@@ -74,30 +77,6 @@ impl Slice {
         self.uniq_pairs.len()
     }
 
-    /// Rebuilds a slice from its parked columns (the pair→slot lookup is
-    /// per-fill scratch, reset by every [`fill_slice`], so it restores
-    /// empty).
-    pub(crate) fn restored(
-        activities: Vec<usize>,
-        cands: Vec<usize>,
-        pairs: Vec<u32>,
-        emissions: Vec<f64>,
-        uniq_pairs: Vec<u32>,
-        slots: Vec<u32>,
-        runs: Vec<(u32, u32, u32)>,
-    ) -> Self {
-        Self {
-            activities,
-            cands,
-            pairs,
-            emissions,
-            uniq_pairs,
-            slots,
-            runs,
-            slot_lookup: Vec::new(),
-        }
-    }
-
     fn clear(&mut self) {
         self.activities.clear();
         self.cands.clear();
@@ -109,9 +88,16 @@ impl Slice {
     }
 }
 
+/// Per-fill scratch of [`fill_slice`]: the allowed-macro list and the
+/// pair id → slot lookup (`u32::MAX` = unseen), both reset by every fill.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FillScratch {
+    macro_ids: Vec<usize>,
+    slot_lookup: Vec<u32>,
+}
+
 /// Fills `out` with one user's trellis slice for a tick, reusing its
-/// buffers (and `macro_ids` as the allowed-macro scratch) so a warmed
-/// caller allocates nothing.
+/// buffers (and `scratch`) so a warmed caller allocates nothing.
 ///
 /// This is the single state-enumeration implementation shared by the
 /// coupled and single-chain decoders — macro-major, candidates in input
@@ -121,24 +107,36 @@ pub(crate) fn fill_slice(
     p: &HdbnParams,
     input: &TickInput,
     user: usize,
-    macro_ids: &mut Vec<usize>,
+    scratch: &mut FillScratch,
     out: &mut Slice,
 ) {
+    let FillScratch {
+        macro_ids,
+        slot_lookup,
+    } = scratch;
     macro_ids.clear();
     match &input.macro_candidates[user] {
         Some(m) => macro_ids.extend_from_slice(m),
         None => macro_ids.extend(0..p.n_macro()),
     }
     out.clear();
+    // Exact sizing: a fresh or recycled entry grows once, not by doubling.
+    let n = macro_ids.len() * input.candidates[user].len();
+    out.activities.reserve(n);
+    out.cands.reserve(n);
+    out.pairs.reserve(n);
+    out.emissions.reserve(n);
+    out.slots.reserve(n);
+    out.runs.reserve(macro_ids.len());
     let t = &p.tables;
-    out.slot_lookup.clear();
-    out.slot_lookup.resize(t.n_pair(), u32::MAX);
+    slot_lookup.clear();
+    slot_lookup.resize(t.n_pair(), u32::MAX);
     for &a in macro_ids.iter() {
         let bonus = input.bonus(a);
         let run_start = out.activities.len() as u32;
         for (c, cand) in input.candidates[user].iter().enumerate() {
             let pair = t.pair(a, cand.postural);
-            let lk = &mut out.slot_lookup[pair as usize];
+            let lk = &mut slot_lookup[pair as usize];
             if *lk == u32::MAX {
                 *lk = out.uniq_pairs.len() as u32;
                 out.uniq_pairs.push(pair);
@@ -172,8 +170,6 @@ pub(crate) fn fill_slice(
 pub struct StepScratch<S> {
     /// Pruned joint-step group buffers (PR 4's `JointScratch`, absorbed).
     pub(crate) joint: JointScratch<S>,
-    /// Allowed-macro scratch for [`fill_slice`].
-    pub(crate) macro_ids: Vec<usize>,
     /// Pass-1 joint fold `W[slot2, j1p]` (per distinct chain-2 dst pair,
     /// slot-major so pass 2 scans each `slot2` row contiguously) and its
     /// argmax; also the chain kernels' per-distinct-pair fold.
@@ -246,6 +242,8 @@ pub struct TrellisArena {
     pub(crate) step: StepScratch<f64>,
     /// Fold buffers and ping-pong frontier, fast (`f32`) lane.
     pub(crate) step32: StepScratch<f32>,
+    /// Slice-fill scratch (lane-independent).
+    pub(crate) fill: FillScratch,
 }
 
 impl TrellisArena {

@@ -217,13 +217,17 @@ impl BeamScratch {
         &self.keep
     }
 
-    /// Overwrites the survivor list — the park/resume state transfer of
-    /// the online decoders, which must restore the pending survivor set a
-    /// pruned next step will consume. `keep` must be sorted ascending, as
-    /// [`Beam::select_log`] leaves it.
-    pub fn set_keep(&mut self, keep: &[u32]) {
-        self.keep.clear();
-        self.keep.extend_from_slice(keep);
+    /// Moves the survivor list out (leaving it empty) — the park half of
+    /// the online decoders' state transfer.
+    pub(crate) fn take_keep(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.keep)
+    }
+
+    /// Moves a survivor list in — the resume half, restoring the pending
+    /// survivor set a pruned next step will consume. `keep` must be sorted
+    /// ascending, as [`Beam::select_log`] leaves it.
+    pub(crate) fn put_keep(&mut self, keep: Vec<u32>) {
+        self.keep = keep;
     }
 
     /// Top-`k` selection; returns `false` (nothing pruned) when `k` covers

@@ -59,7 +59,6 @@
 //! assert_eq!(path.macros[0].len(), 10);
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cace_model::ModelError;
@@ -68,17 +67,18 @@ use serde::{Deserialize, Serialize};
 use crate::arena::{fill_slice, Slice, StepScratch};
 use crate::input::{MicroCandidate, TickInput};
 use crate::params::HdbnParams;
-use crate::park::{ParkedChain, ParkedChainEntry, ParkedCoupled, ParkedJointEntry, ParkedSlice};
+use crate::park::{ParkedChain, ParkedCoupled};
 use crate::scalar::Scalar;
 use crate::single::{self, SingleHdbn, SinglePath};
-use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily};
+use crate::trellis::{self, HierModel, OnlineTrellis, TrellisEntry, TrellisFamily, TrellisParts};
 use crate::viterbi::{self, CoupledHdbn, JointPath};
 
 /// Fixed-lag smoothing horizon of an online decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Lag {
     /// Never commit mid-stream; decode everything at finalization (the
     /// batch Viterbi decoders run at this lag).
+    #[default]
     Unbounded,
     /// Emit the decision for tick `t - lag` after consuming tick `t`,
     /// keeping the backpointer window bounded at `lag + 2` entries.
@@ -121,22 +121,27 @@ pub struct SmoothedChain {
 }
 
 /// One retained tick of the coupled backpointer window (pooled through
-/// the core's free list — see [`TrellisEntry`]).
-#[derive(Debug, Clone, Default)]
-struct JointEntry {
-    s1: Slice,
-    s2: Slice,
+/// the core's free list — see [`TrellisEntry`]). Every field is decode
+/// state, so the entry is also its own parked form.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct JointEntry {
+    pub(crate) s1: Slice,
+    pub(crate) s2: Slice,
     /// Backpointers into the previous tick's flattened frontier (empty for
     /// the first tick of the stream).
-    back: Vec<u32>,
+    pub(crate) back: Vec<u32>,
     /// The tick's candidate tuples, retained so decisions can report
     /// micro states after the [`TickInput`] is gone.
-    cands: [Vec<MicroCandidate>; 2],
+    pub(crate) cands: [Vec<MicroCandidate>; 2],
 }
 
 impl TrellisEntry for JointEntry {
     fn back(&self) -> &[u32] {
         &self.back
+    }
+
+    fn back_capacity(&self) -> usize {
+        self.back.capacity()
     }
 }
 
@@ -318,14 +323,14 @@ impl OnlineCoupledViterbi {
             &self.params,
             tick,
             0,
-            self.core.scratch_macro_ids(),
+            self.core.fill_scratch(),
             &mut entry.s1,
         );
         fill_slice(
             &self.params,
             tick,
             1,
-            self.core.scratch_macro_ids(),
+            self.core.fill_scratch(),
             &mut entry.s2,
         );
         for u in 0..2 {
@@ -355,84 +360,113 @@ impl OnlineCoupledViterbi {
         Ok(decision)
     }
 
-    /// Checkpoints the stream: everything the decode depends on — the
+    /// Parks the stream by value: everything the decode depends on — the
     /// live frontier, the backpointer window, the decision cursor and
     /// emitted history, the overhead counters, and the pending beam
-    /// survivors — in a serializable form. The model is *not* captured;
-    /// [`resume`](Self::resume) re-attaches one, so a fleet of parked
-    /// homes shares a single `Arc<HdbnParams>`.
-    pub fn park(&self) -> ParkedCoupled {
+    /// survivors — *moved* into its serializable form, together with the
+    /// stream's reusable memory. The model is *not* captured;
+    /// [`from_parked`](Self::from_parked) re-attaches one, so a fleet of
+    /// parked homes shares a single `Arc<HdbnParams>`.
+    pub fn into_parked(self) -> ParkedCoupled {
+        let TrellisParts {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        } = self.core.into_parts();
         ParkedCoupled {
-            v: self.core.frontier().to_vec(),
-            v32: self.core.frontier32().to_vec(),
-            window: self
-                .core
-                .entries()
-                .map(|e| ParkedJointEntry {
-                    s1: ParkedSlice::from_slice(&e.s1),
-                    s2: ParkedSlice::from_slice(&e.s2),
-                    back: e.back.clone(),
-                    cands: e.cands.clone(),
-                })
-                .collect(),
-            base: self.core.base(),
-            pushed: self.core.ticks_pushed(),
-            emitted_macros: self.emitted_macros.clone(),
-            emitted_micros: self.emitted_micros.clone(),
-            states_explored: self.core.states_explored(),
-            transition_ops: self.core.transition_ops(),
-            pruned: self.core.pruned(),
-            keep: self.core.keep().to_vec(),
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            emitted_macros: self.emitted_macros,
+            emitted_micros: self.emitted_micros,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
         }
     }
 
     /// Rehydrates a parked stream against `model`, continuing exactly
-    /// where [`park`](Self::park) left off: subsequent pushes, emitted
-    /// decisions, overhead accounting, and `finalize` are bit-identical
-    /// to the uninterrupted stream. `model` and `lag` must match the ones
-    /// the stream was opened with (the snapshot layer persists and
-    /// re-checks both).
+    /// where it was parked: subsequent pushes, emitted decisions, overhead
+    /// accounting, and `finalize` are bit-identical to the uninterrupted
+    /// stream. `model` and `lag` must match the ones the stream was opened
+    /// with (the snapshot layer persists and re-checks both). Validation
+    /// runs first; then every buffer of `parked`, its spare included, is
+    /// moved in.
     ///
     /// # Errors
     /// [`ModelError::Persistence`] when the parked state is structurally
     /// inconsistent with the model — every index is bounds-checked before
     /// any kernel runs, so a tampered payload fails cleanly instead of
     /// panicking.
+    pub fn from_parked(
+        model: CoupledHdbn,
+        lag: Lag,
+        parked: ParkedCoupled,
+    ) -> Result<Self, ModelError> {
+        let params = model.shared_params();
+        parked.validate(&params, model.decoder().precision, lag)?;
+        let ParkedCoupled {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            emitted_macros,
+            emitted_micros,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        } = parked;
+        let parts = TrellisParts {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        };
+        Ok(Self {
+            model,
+            params,
+            core: OnlineTrellis::from_parts(lag, parts),
+            emitted_macros,
+            emitted_micros,
+        })
+    }
+
+    /// Checkpoints the stream, leaving it untouched:
+    /// [`into_parked`](Self::into_parked) on a clone.
+    pub fn park(&self) -> ParkedCoupled {
+        self.clone().into_parked()
+    }
+
+    /// [`from_parked`](Self::from_parked) on a clone of `parked`.
+    ///
+    /// # Errors
+    /// Those of [`from_parked`](Self::from_parked).
     pub fn resume(
         model: CoupledHdbn,
         lag: Lag,
         parked: &ParkedCoupled,
     ) -> Result<Self, ModelError> {
-        let params = model.shared_params();
-        parked.validate(&params, model.decoder().precision, lag)?;
-        let window: VecDeque<JointEntry> = parked
-            .window
-            .iter()
-            .map(|e| JointEntry {
-                s1: e.s1.to_slice(),
-                s2: e.s2.to_slice(),
-                back: e.back.clone(),
-                cands: e.cands.clone(),
-            })
-            .collect();
-        Ok(Self {
-            model,
-            params,
-            core: OnlineTrellis::from_parts(
-                lag,
-                parked.v.clone(),
-                parked.v32.clone(),
-                window,
-                parked.base,
-                parked.pushed,
-                parked.states_explored,
-                parked.transition_ops,
-                parked.pruned,
-                &parked.keep,
-            ),
-            emitted_macros: parked.emitted_macros.clone(),
-            emitted_micros: parked.emitted_micros.clone(),
-        })
+        Self::from_parked(model, lag, parked.clone())
     }
 
     /// Ends the stream: emits every not-yet-committed tick by backtracking
@@ -474,24 +508,29 @@ impl OnlineCoupledViterbi {
     }
 }
 
-/// One retained tick of a single-chain backpointer window (pooled like
-/// [`JointEntry`]).
-#[derive(Debug, Clone, Default)]
-struct ChainEntry {
-    slice: Slice,
-    back: Vec<u32>,
-    cands: Vec<MicroCandidate>,
+/// One retained tick of a single-chain backpointer window (pooled and
+/// parked like [`JointEntry`]).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct ChainEntry {
+    pub(crate) slice: Slice,
+    pub(crate) back: Vec<u32>,
+    pub(crate) cands: Vec<MicroCandidate>,
 }
 
 impl TrellisEntry for ChainEntry {
     fn back(&self) -> &[u32] {
         &self.back
     }
+
+    fn back_capacity(&self) -> usize {
+        self.back.capacity()
+    }
 }
 
 /// Incremental fixed-lag decoder for one user's hierarchical chain — the
 /// decode loop behind [`SingleHdbn::viterbi`], wrapping the same
 /// [`OnlineTrellis`] core as the coupled decoder.
+#[derive(Debug, Clone)]
 pub struct OnlineSingleViterbi {
     model: SingleHdbn,
     params: Arc<HdbnParams>,
@@ -548,7 +587,7 @@ impl OnlineSingleViterbi {
             &self.params,
             tick,
             self.user,
-            self.core.scratch_macro_ids(),
+            self.core.fill_scratch(),
             &mut entry.slice,
         );
         entry.cands.clear();
@@ -571,74 +610,105 @@ impl OnlineSingleViterbi {
         Ok(decision)
     }
 
-    /// Checkpoints the stream (see [`OnlineCoupledViterbi::park`]).
-    pub fn park(&self) -> ParkedChain {
+    /// Parks the stream by value (see
+    /// [`OnlineCoupledViterbi::into_parked`]).
+    pub fn into_parked(self) -> ParkedChain {
+        let TrellisParts {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        } = self.core.into_parts();
         ParkedChain {
-            v: self.core.frontier().to_vec(),
-            v32: self.core.frontier32().to_vec(),
-            window: self
-                .core
-                .entries()
-                .map(|e| ParkedChainEntry {
-                    slice: ParkedSlice::from_slice(&e.slice),
-                    back: e.back.clone(),
-                    cands: e.cands.clone(),
-                })
-                .collect(),
-            base: self.core.base(),
-            pushed: self.core.ticks_pushed(),
-            emitted_macros: self.emitted_macros.clone(),
-            emitted_micros: self.emitted_micros.clone(),
-            states_explored: self.core.states_explored(),
-            transition_ops: self.core.transition_ops(),
-            pruned: self.core.pruned(),
-            keep: self.core.keep().to_vec(),
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            emitted_macros: self.emitted_macros,
+            emitted_micros: self.emitted_micros,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
         }
     }
 
     /// Rehydrates a parked stream against `model`, decoding `user`'s
-    /// chain (see [`OnlineCoupledViterbi::resume`] for the continuation
-    /// guarantee).
+    /// chain (see [`OnlineCoupledViterbi::from_parked`] for the
+    /// continuation guarantee).
     ///
     /// # Errors
     /// [`ModelError::Persistence`] when the parked state is structurally
     /// inconsistent with the model.
+    pub fn from_parked(
+        model: SingleHdbn,
+        user: usize,
+        lag: Lag,
+        parked: ParkedChain,
+    ) -> Result<Self, ModelError> {
+        let params = model.shared_params();
+        parked.validate(&params, model.decoder().precision, lag)?;
+        let ParkedChain {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            emitted_macros,
+            emitted_micros,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        } = parked;
+        let parts = TrellisParts {
+            v,
+            v32,
+            window,
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            keep,
+            spare,
+        };
+        Ok(Self {
+            model,
+            params,
+            user,
+            core: OnlineTrellis::from_parts(lag, parts),
+            emitted_macros,
+            emitted_micros,
+        })
+    }
+
+    /// Checkpoints the stream, leaving it untouched (see
+    /// [`OnlineCoupledViterbi::park`]).
+    pub fn park(&self) -> ParkedChain {
+        self.clone().into_parked()
+    }
+
+    /// [`from_parked`](Self::from_parked) on a clone of `parked`.
+    ///
+    /// # Errors
+    /// Those of [`from_parked`](Self::from_parked).
     pub fn resume(
         model: SingleHdbn,
         user: usize,
         lag: Lag,
         parked: &ParkedChain,
     ) -> Result<Self, ModelError> {
-        let params = model.shared_params();
-        parked.validate(&params, model.decoder().precision, lag)?;
-        let window: VecDeque<ChainEntry> = parked
-            .window
-            .iter()
-            .map(|e| ChainEntry {
-                slice: e.slice.to_slice(),
-                back: e.back.clone(),
-                cands: e.cands.clone(),
-            })
-            .collect();
-        Ok(Self {
-            model,
-            params,
-            user,
-            core: OnlineTrellis::from_parts(
-                lag,
-                parked.v.clone(),
-                parked.v32.clone(),
-                window,
-                parked.base,
-                parked.pushed,
-                parked.states_explored,
-                parked.transition_ops,
-                parked.pruned,
-                &parked.keep,
-            ),
-            emitted_macros: parked.emitted_macros.clone(),
-            emitted_micros: parked.emitted_micros.clone(),
-        })
+        Self::from_parked(model, user, lag, parked.clone())
     }
 
     /// Ends the stream, resolving the uncommitted tail; under

@@ -5,7 +5,7 @@
 //! rehydrate it on the next tick with **bit-identical continuation**: the
 //! resumed decoder must emit the same decisions, accumulate the same
 //! overhead counters, and finalize to the same path as one that never
-//! stopped. The types here are the parked mirrors of
+//! stopped. The types here are the parked forms of
 //! [`OnlineCoupledViterbi`](crate::OnlineCoupledViterbi) and
 //! [`OnlineSingleViterbi`](crate::OnlineSingleViterbi): the trellis
 //! frontier (whichever scoring lane is live), the backpointer window with
@@ -13,12 +13,20 @@
 //! (`base`/`pushed` plus the emitted history), the overhead counters, and
 //! the pending beam-survivor set a pruned next step would consume.
 //!
-//! What is *not* parked is exactly the state that does not affect output:
-//! the entry free list and the [`TrellisArena`](crate::TrellisArena)
-//! scratch (rebuilt empty — they only exist to avoid steady-state
-//! allocations), and the model itself (the caller re-attaches it at
-//! resume, sharing one `Arc<HdbnParams>` across a whole fleet of parked
-//! homes).
+//! Each family converts by value in both directions: `into_parked`
+//! consumes the live decoder and *moves* its buffers (the window entries
+//! are the live entries themselves), and `from_parked` validates, then
+//! moves them back. The borrowing `park`/`resume` are clone-then-convert
+//! wrappers over the same two conversions.
+//!
+//! What is *not* serialized is exactly the state that does not affect
+//! output: the entry free list and the [`TrellisArena`](crate::TrellisArena)
+//! scratch, and the model itself (the caller re-attaches it at resume,
+//! sharing one `Arc<HdbnParams>` across a whole fleet of parked homes).
+//! The free list and arena still travel with a parked value as its
+//! [`TrellisSpare`]: a resume reuses them, and a decode into an existing
+//! parked value (`decode_into`) writes into its buffers, so a serving tier
+//! cycling homes through one spare re-grows nothing.
 //!
 //! Resume is **panic-free on malformed input**: every index and length in
 //! a parked payload is validated against the attached model before any
@@ -31,92 +39,55 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::Slice;
 use crate::input::MicroCandidate;
-use crate::online::Lag;
+use crate::online::{ChainEntry, JointEntry, Lag};
 use crate::params::HdbnParams;
 use crate::scalar::Precision;
+use crate::trellis::TrellisSpare;
 
-/// Parked form of one chain's per-tick trellis slice (everything the step
-/// kernels read; the pair→slot lookup is per-fill scratch and rebuilt).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct ParkedSlice {
-    pub(crate) activities: Vec<usize>,
-    pub(crate) cands: Vec<usize>,
-    pub(crate) pairs: Vec<u32>,
-    pub(crate) emissions: Vec<f64>,
-    pub(crate) uniq_pairs: Vec<u32>,
-    pub(crate) slots: Vec<u32>,
-    pub(crate) runs: Vec<(u32, u32, u32)>,
-}
-
-impl ParkedSlice {
-    pub(crate) fn from_slice(s: &Slice) -> Self {
-        Self {
-            activities: s.activities.clone(),
-            cands: s.cands.clone(),
-            pairs: s.pairs.clone(),
-            emissions: s.emissions.clone(),
-            uniq_pairs: s.uniq_pairs.clone(),
-            slots: s.slots.clone(),
-            runs: s.runs.clone(),
-        }
-    }
-
-    pub(crate) fn to_slice(&self) -> Slice {
-        Slice::restored(
-            self.activities.clone(),
-            self.cands.clone(),
-            self.pairs.clone(),
-            self.emissions.clone(),
-            self.uniq_pairs.clone(),
-            self.slots.clone(),
-            self.runs.clone(),
-        )
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.activities.len()
-    }
-
+impl Slice {
     /// Bounds-checks every index the step kernels would read: state count
     /// nonzero and internally consistent, pair/slot ids inside the model's
     /// dense tables, candidate indices inside the retained tuple list,
     /// activity runs a partition-shaped cover of the state list, emissions
-    /// free of NaN (the frontier argmax totally orders scores).
+    /// free of NaN (the frontier argmax totally orders scores). Errors
+    /// name `{what} window[{i}]`; success allocates nothing.
     pub(crate) fn validate(
         &self,
         what: &str,
+        i: usize,
         n_macro: usize,
         n_pair: usize,
         n_cands: usize,
     ) -> Result<(), ModelError> {
+        let err = |why: &str| format!("{what} window[{i}]: {why}");
         let m = self.len();
-        check(m > 0, || format!("{what}: empty trellis slice"))?;
+        check(m > 0, || err("empty trellis slice"))?;
         check(
             self.cands.len() == m
                 && self.pairs.len() == m
                 && self.emissions.len() == m
                 && self.slots.len() == m,
-            || format!("{what}: slice column lengths disagree"),
+            || err("slice column lengths disagree"),
         )?;
         check(self.activities.iter().all(|&a| a < n_macro), || {
-            format!("{what}: activity id out of range")
+            err("activity id out of range")
         })?;
         check(self.cands.iter().all(|&c| c < n_cands), || {
-            format!("{what}: candidate index out of range")
+            err("candidate index out of range")
         })?;
         check(self.pairs.iter().all(|&p| (p as usize) < n_pair), || {
-            format!("{what}: pair id out of range")
+            err("pair id out of range")
         })?;
         check(
             self.uniq_pairs.iter().all(|&p| (p as usize) < n_pair),
-            || format!("{what}: distinct pair id out of range"),
+            || err("distinct pair id out of range"),
         )?;
         let n_slots = self.uniq_pairs.len() as u32;
         check(self.slots.iter().all(|&s| s < n_slots), || {
-            format!("{what}: slot index out of range")
+            err("slot index out of range")
         })?;
         check(self.emissions.iter().all(|e| !e.is_nan()), || {
-            format!("{what}: NaN emission score")
+            err("NaN emission score")
         })?;
         // Runs must tile 0..m in order — the fold kernels walk them as a
         // cover of the state list.
@@ -124,36 +95,51 @@ impl ParkedSlice {
         for &(a, start, end) in &self.runs {
             check(
                 (a as usize) < n_macro && start == cursor && end >= start,
-                || format!("{what}: malformed activity run"),
+                || err("malformed activity run"),
             )?;
             cursor = end;
         }
         check(cursor as usize == m, || {
-            format!("{what}: activity runs do not cover the slice")
+            err("activity runs do not cover the slice")
         })?;
         Ok(())
     }
 }
 
-/// Parked form of one retained tick of the coupled backpointer window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct ParkedJointEntry {
-    pub(crate) s1: ParkedSlice,
-    pub(crate) s2: ParkedSlice,
-    pub(crate) back: Vec<u32>,
-    pub(crate) cands: [Vec<MicroCandidate>; 2],
+/// Checks one window entry's backpointers against the previous entry's
+/// frontier size (`None` for `window[0]`, whose backpointers are never
+/// read: there is no predecessor to point into).
+fn validate_back(
+    what: &str,
+    i: usize,
+    back: &[u32],
+    frontier: usize,
+    prev_frontier: Option<usize>,
+) -> Result<(), ModelError> {
+    if let Some(prev) = prev_frontier {
+        check(back.len() == frontier, || {
+            format!("{what} window[{i}]: backpointer count != frontier size")
+        })?;
+        check(back.iter().all(|&b| (b as usize) < prev), || {
+            format!("{what} window[{i}]: backpointer out of range")
+        })?;
+    }
+    Ok(())
 }
 
 /// Parked [`OnlineCoupledViterbi`](crate::OnlineCoupledViterbi) state: the
 /// serialized mid-stream checkpoint of one home's coupled decoder.
-/// Produced by [`park`](crate::OnlineCoupledViterbi::park), consumed by
-/// [`resume`](crate::OnlineCoupledViterbi::resume); the payload is opaque
-/// to callers and versioned by the snapshot layer that embeds it.
+/// Produced by [`into_parked`](crate::OnlineCoupledViterbi::into_parked)
+/// (or the borrowing [`park`](crate::OnlineCoupledViterbi::park)),
+/// consumed by [`from_parked`](crate::OnlineCoupledViterbi::from_parked);
+/// the payload is opaque to callers and versioned by the snapshot layer
+/// that embeds it. The window holds the live stream's own entries, moved
+/// rather than copied, and `spare` carries its reusable memory along.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParkedCoupled {
     pub(crate) v: Vec<f64>,
     pub(crate) v32: Vec<f32>,
-    pub(crate) window: Vec<ParkedJointEntry>,
+    pub(crate) window: Vec<JointEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
     pub(crate) emitted_macros: [Vec<usize>; 2],
@@ -162,6 +148,10 @@ pub struct ParkedCoupled {
     pub(crate) transition_ops: u64,
     pub(crate) pruned: bool,
     pub(crate) keep: Vec<u32>,
+    /// Pooled entries and arena of the stream this was parked from (or of
+    /// an earlier decode target): reused at resume, never serialized.
+    #[serde(skip)]
+    pub(crate) spare: TrellisSpare<JointEntry>,
 }
 
 impl ParkedCoupled {
@@ -179,8 +169,9 @@ impl ParkedCoupled {
         precision: Precision,
         lag: Lag,
     ) -> Result<(), ModelError> {
+        let what = "parked coupled stream";
         validate_cursor(
-            "parked coupled stream",
+            what,
             self.base,
             self.pushed,
             self.window.len(),
@@ -191,31 +182,20 @@ impl ParkedCoupled {
             self.emitted_macros[1].len() == self.emitted_macros[0].len()
                 && self.emitted_micros[0].len() == self.emitted_macros[0].len()
                 && self.emitted_micros[1].len() == self.emitted_macros[0].len(),
-            || "parked coupled stream: emitted histories disagree in length".to_string(),
+            || format!("{what}: emitted histories disagree in length"),
         )?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
         let mut prev_flat = None;
         for (i, e) in self.window.iter().enumerate() {
-            let what = format!("parked coupled window[{i}]");
-            e.s1.validate(&what, n_macro, n_pair, e.cands[0].len())?;
-            e.s2.validate(&what, n_macro, n_pair, e.cands[1].len())?;
+            e.s1.validate(what, i, n_macro, n_pair, e.cands[0].len())?;
+            e.s2.validate(what, i, n_macro, n_pair, e.cands[1].len())?;
             let flat = e.s1.len() * e.s2.len();
-            // window[0]'s backpointers are never read (no predecessor to
-            // point into); every later entry's must cover its frontier and
-            // stay inside the previous one.
-            if let Some(prev_flat) = prev_flat {
-                check(e.back.len() == flat, || {
-                    format!("{what}: backpointer count != frontier size")
-                })?;
-                check(e.back.iter().all(|&b| (b as usize) < prev_flat), || {
-                    format!("{what}: backpointer out of range")
-                })?;
-            }
+            validate_back(what, i, &e.back, flat, prev_flat)?;
             prev_flat = Some(flat);
         }
         if let Some(frontier) = prev_flat {
             validate_frontier(
-                "parked coupled stream",
+                what,
                 frontier,
                 &self.v,
                 &self.v32,
@@ -228,21 +208,13 @@ impl ParkedCoupled {
     }
 }
 
-/// Parked form of one retained tick of a single-chain backpointer window.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct ParkedChainEntry {
-    pub(crate) slice: ParkedSlice,
-    pub(crate) back: Vec<u32>,
-    pub(crate) cands: Vec<MicroCandidate>,
-}
-
 /// Parked [`OnlineSingleViterbi`](crate::OnlineSingleViterbi) state — the
 /// single-chain counterpart of [`ParkedCoupled`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParkedChain {
     pub(crate) v: Vec<f64>,
     pub(crate) v32: Vec<f32>,
-    pub(crate) window: Vec<ParkedChainEntry>,
+    pub(crate) window: Vec<ChainEntry>,
     pub(crate) base: usize,
     pub(crate) pushed: usize,
     pub(crate) emitted_macros: Vec<usize>,
@@ -251,6 +223,9 @@ pub struct ParkedChain {
     pub(crate) transition_ops: u64,
     pub(crate) pruned: bool,
     pub(crate) keep: Vec<u32>,
+    /// Reusable memory, as in [`ParkedCoupled`]; never serialized.
+    #[serde(skip)]
+    pub(crate) spare: TrellisSpare<ChainEntry>,
 }
 
 impl ParkedChain {
@@ -266,8 +241,9 @@ impl ParkedChain {
         precision: Precision,
         lag: Lag,
     ) -> Result<(), ModelError> {
+        let what = "parked chain stream";
         validate_cursor(
-            "parked chain stream",
+            what,
             self.base,
             self.pushed,
             self.window.len(),
@@ -276,27 +252,19 @@ impl ParkedChain {
         )?;
         check(
             self.emitted_micros.len() == self.emitted_macros.len(),
-            || "parked chain stream: emitted histories disagree in length".to_string(),
+            || format!("{what}: emitted histories disagree in length"),
         )?;
         let (n_macro, n_pair) = (p.n_macro(), p.tables.n_pair());
         let mut prev_len = None;
         for (i, e) in self.window.iter().enumerate() {
-            let what = format!("parked chain window[{i}]");
-            e.slice.validate(&what, n_macro, n_pair, e.cands.len())?;
+            e.slice.validate(what, i, n_macro, n_pair, e.cands.len())?;
             let m = e.slice.len();
-            if let Some(prev_len) = prev_len {
-                check(e.back.len() == m, || {
-                    format!("{what}: backpointer count != frontier size")
-                })?;
-                check(e.back.iter().all(|&b| (b as usize) < prev_len), || {
-                    format!("{what}: backpointer out of range")
-                })?;
-            }
+            validate_back(what, i, &e.back, m, prev_len)?;
             prev_len = Some(m);
         }
         if let Some(frontier) = prev_len {
             validate_frontier(
-                "parked chain stream",
+                what,
                 frontier,
                 &self.v,
                 &self.v32,

@@ -6,7 +6,7 @@
 
 use cace_model::ModelError;
 
-use crate::arena::{fill_slice, Slice};
+use crate::arena::{fill_slice, FillScratch, Slice};
 use crate::beam::DecoderConfig;
 use crate::input::{MicroCandidate, TickInput};
 use crate::online::{Lag, OnlineSingleViterbi};
@@ -185,12 +185,12 @@ impl SingleHdbn {
 
     /// One user's per-tick slices (see [`crate::arena::fill_slice`]).
     fn slices_of(&self, ticks: &[TickInput], user: usize) -> Vec<Slice> {
-        let mut macro_ids = Vec::new();
+        let mut scratch = FillScratch::default();
         ticks
             .iter()
             .map(|t| {
                 let mut s = Slice::default();
-                fill_slice(&self.params, t, user, &mut macro_ids, &mut s);
+                fill_slice(&self.params, t, user, &mut scratch, &mut s);
                 s
             })
             .collect()

@@ -47,7 +47,7 @@
 
 use std::collections::VecDeque;
 
-use crate::arena::{StepScratch, TrellisArena};
+use crate::arena::{FillScratch, StepScratch, TrellisArena};
 use crate::beam::{Beam, BeamScratch, DecoderConfig};
 use crate::forward::{apply_beam_linear, log_sum_exp, normalize_log};
 use crate::online::Lag;
@@ -510,6 +510,10 @@ pub trait TrellisEntry: Default {
     /// Backpointers into the previous tick's frontier (empty for the
     /// first tick of a stream).
     fn back(&self) -> &[u32];
+
+    /// Capacity of the backpointer buffer — the entry's largest, one slot
+    /// per frontier state — by which a pooled entry's size is judged.
+    fn back_capacity(&self) -> usize;
 }
 
 /// One decoder family plugged into the online core in lane `S`: how a
@@ -575,6 +579,109 @@ fn advance<S: Scalar, F: TrellisFamily<S>>(
     *pruned = beam.select_log(v, beam_scratch);
 }
 
+/// Size floor, in elements, below which recycled buffers are never
+/// trimmed (see [`TrellisSpare`]).
+pub(crate) const RECYCLE_FLOOR: usize = 64;
+
+/// Reusable memory of an online core, detached from its decode state:
+/// the pooled window entries and the [`TrellisArena`] scratch. A parked
+/// decoder carries its stream's spare (never serialized), so a by-value
+/// resume reuses these buffers instead of re-growing every one of them.
+/// It holds no decode state, so a clone starts empty.
+///
+/// Frontier sizes are heavy-tailed, so a spare handed from stream to
+/// stream would otherwise keep the capacity of the largest tick any of
+/// them ever saw, in every stream it reaches. A resume therefore drops
+/// the arena and any pooled entry sized for more than twice the incoming
+/// frontier (and decodes release buffers more than twice their new
+/// length), bounding each stream's memory by its own state.
+#[derive(Debug)]
+pub struct TrellisSpare<E> {
+    /// Recycled window entries (see [`TrellisEntry`]).
+    free: Vec<E>,
+    /// All step-kernel scratch — beam selection, fold buffers, ping-pong
+    /// frontier, slice fill — allocated once, reused every push. The one
+    /// piece of decode state it ever holds, the pending beam survivors,
+    /// is moved out whenever the core is parked.
+    arena: TrellisArena,
+}
+
+impl<E> Default for TrellisSpare<E> {
+    fn default() -> Self {
+        Self {
+            free: Vec::new(),
+            arena: TrellisArena::new(),
+        }
+    }
+}
+
+impl<E> Clone for TrellisSpare<E> {
+    /// An empty spare: scratch is never copied.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<E: TrellisEntry> TrellisSpare<E> {
+    /// Releases scratch sized for frontiers more than twice `frontier`
+    /// (with a floor of [`RECYCLE_FLOOR`] states): the arena, judged by its
+    /// ping-pong frontier, and pooled entries, judged by their
+    /// backpointers.
+    fn fit(&mut self, frontier: usize) {
+        let limit = 2 * frontier.max(RECYCLE_FLOOR);
+        let (step, step32) = (&self.arena.step, &self.arena.step32);
+        if step.v_next.capacity().max(step32.v_next.capacity()) > limit {
+            self.arena = TrellisArena::new();
+        }
+        self.free.retain(|e| e.back_capacity() <= limit);
+    }
+
+    /// Pops a pooled entry (or a fresh default).
+    fn take_entry(&mut self) -> E {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Resizes a parked window to `len` entries before a decode writes
+    /// into it: surplus entries go to the pool, missing ones come from it,
+    /// so their buffers keep their capacity either way.
+    pub fn fit_window(&mut self, window: &mut Vec<E>, len: usize) {
+        if window.len() > len {
+            self.free.extend(window.drain(len..));
+        }
+        while window.len() < len {
+            window.push(self.take_entry());
+        }
+    }
+}
+
+/// An [`OnlineTrellis`] taken apart by value: its decode state (the
+/// fields every parked decoder family serializes) plus its
+/// [`TrellisSpare`]. [`OnlineTrellis::into_parts`] and
+/// [`OnlineTrellis::from_parts`] move buffers, never copy them.
+#[derive(Debug)]
+pub struct TrellisParts<E> {
+    /// Live frontier, exact lane (empty under [`Precision::Fast32`]).
+    pub v: Vec<f64>,
+    /// Live frontier, fast lane (empty under [`Precision::Exact64`]).
+    pub v32: Vec<f32>,
+    /// Backpointer window, oldest first: ticks `base .. pushed`.
+    pub window: Vec<E>,
+    /// Tick index of `window[0]`.
+    pub base: usize,
+    /// Ticks consumed so far.
+    pub pushed: usize,
+    /// Σ_t |S(t)| states instantiated so far.
+    pub states_explored: u64,
+    /// Σ transition evaluations performed so far.
+    pub transition_ops: u64,
+    /// Whether the current frontier was beam-restricted.
+    pub pruned: bool,
+    /// The pending beam-survivor set a pruned next step would consume.
+    pub keep: Vec<u32>,
+    /// Pooled entries and arena scratch.
+    pub spare: TrellisSpare<E>,
+}
+
 /// The family-independent half of an online fixed-lag decoder: both
 /// frontier lanes, the bounded backpointer window with its pooled free
 /// list, the decision cursor (`base`/`pushed`), the overhead counters,
@@ -582,7 +689,7 @@ fn advance<S: Scalar, F: TrellisFamily<S>>(
 /// decoder ([`crate::OnlineCoupledViterbi`],
 /// [`crate::OnlineSingleViterbi`], and `cace-core`'s NH frontier) wraps
 /// one of these plus its family-specific decision/emission bookkeeping.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OnlineTrellis<E> {
     lag: Lag,
     /// Live frontier, exact lane (empty under [`Precision::Fast32`]).
@@ -591,70 +698,111 @@ pub struct OnlineTrellis<E> {
     v32: Vec<f32>,
     /// Backpointer window: entries for ticks `base .. pushed`.
     window: VecDeque<E>,
-    /// Recycled window entries (see [`TrellisEntry`]).
-    free: Vec<E>,
     /// Tick index of `window[0]`.
     base: usize,
     /// Ticks consumed so far.
     pushed: usize,
     states_explored: u64,
     transition_ops: u64,
-    /// All step-kernel scratch — beam survivors, fold buffers, ping-pong
-    /// frontier — allocated once per stream, reused every push.
-    arena: TrellisArena,
     /// Whether the current frontier was restricted (always `false` under
     /// [`Beam::Exact`]).
     pruned: bool,
+    /// Pooled window entries and arena scratch (which also holds the
+    /// pending beam survivors while the stream is live).
+    spare: TrellisSpare<E>,
+}
+
+impl<E: Clone> Clone for OnlineTrellis<E> {
+    /// Copies the decode state only: the clone's pool and scratch start
+    /// empty, apart from the pending beam survivors, which are state.
+    fn clone(&self) -> Self {
+        let mut spare = TrellisSpare::default();
+        spare
+            .arena
+            .beam
+            .put_keep(self.spare.arena.beam.keep().to_vec());
+        Self {
+            lag: self.lag,
+            v: self.v.clone(),
+            v32: self.v32.clone(),
+            window: self.window.clone(),
+            base: self.base,
+            pushed: self.pushed,
+            states_explored: self.states_explored,
+            transition_ops: self.transition_ops,
+            pruned: self.pruned,
+            spare,
+        }
+    }
 }
 
 impl<E: TrellisEntry> OnlineTrellis<E> {
     /// An empty stream with the given smoothing lag.
     pub fn new(lag: Lag) -> Self {
-        Self {
+        Self::from_parts(
             lag,
-            v: Vec::new(),
-            v32: Vec::new(),
-            window: VecDeque::new(),
-            free: Vec::new(),
-            base: 0,
-            pushed: 0,
-            states_explored: 0,
-            transition_ops: 0,
-            arena: TrellisArena::new(),
-            pruned: false,
-        }
+            TrellisParts {
+                v: Vec::new(),
+                v32: Vec::new(),
+                window: Vec::new(),
+                base: 0,
+                pushed: 0,
+                states_explored: 0,
+                transition_ops: 0,
+                pruned: false,
+                keep: Vec::new(),
+                spare: TrellisSpare::default(),
+            },
+        )
     }
 
-    /// Rebuilds a core from parked state; `keep` seeds the pending
-    /// beam-survivor set (the free list and arena scratch restore empty —
-    /// they only exist to avoid steady-state allocations).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        lag: Lag,
-        v: Vec<f64>,
-        v32: Vec<f32>,
-        window: VecDeque<E>,
-        base: usize,
-        pushed: usize,
-        states_explored: u64,
-        transition_ops: u64,
-        pruned: bool,
-        keep: &[u32],
-    ) -> Self {
-        let mut arena = TrellisArena::new();
-        arena.beam.set_keep(keep);
-        Self {
-            lag,
+    /// Rebuilds a core from its parts, moving every buffer in (`keep`
+    /// becomes the pending beam-survivor set again).
+    pub fn from_parts(lag: Lag, parts: TrellisParts<E>) -> Self {
+        let TrellisParts {
             v,
             v32,
             window,
-            free: Vec::new(),
             base,
             pushed,
             states_explored,
             transition_ops,
-            arena,
             pruned,
+            keep,
+            mut spare,
+        } = parts;
+        spare.fit(v.len().max(v32.len()));
+        spare.arena.beam.put_keep(keep);
+        Self {
+            lag,
+            v,
+            v32,
+            window: window.into(),
+            base,
+            pushed,
+            states_explored,
+            transition_ops,
+            pruned,
+            spare,
+        }
+    }
+
+    /// Takes the core apart by value, moving every buffer out (the window
+    /// keeps its allocation: a `VecDeque` → `Vec` conversion only
+    /// rotates it in place).
+    pub fn into_parts(mut self) -> TrellisParts<E> {
+        let keep = self.spare.arena.beam.take_keep();
+        TrellisParts {
+            v: self.v,
+            v32: self.v32,
+            window: self.window.into(),
+            base: self.base,
+            pushed: self.pushed,
+            states_explored: self.states_explored,
+            transition_ops: self.transition_ops,
+            pruned: self.pruned,
+            keep,
+            spare: self.spare,
         }
     }
 
@@ -669,16 +817,6 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.window.len()
     }
 
-    /// Tick index of the oldest retained window entry.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// The smoothing lag this stream runs under.
-    pub fn lag(&self) -> Lag {
-        self.lag
-    }
-
     /// Σ_t |S(t)| states instantiated so far.
     pub fn states_explored(&self) -> u64 {
         self.states_explored
@@ -689,41 +827,16 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         self.transition_ops
     }
 
-    /// Whether the current frontier was beam-restricted.
-    pub fn pruned(&self) -> bool {
-        self.pruned
-    }
-
-    /// The pending beam-survivor set a pruned next step would consume.
-    pub fn keep(&self) -> &[u32] {
-        self.arena.beam.keep()
-    }
-
-    /// The exact-lane frontier (empty under [`Precision::Fast32`]).
-    pub fn frontier(&self) -> &[f64] {
-        &self.v
-    }
-
-    /// The fast-lane frontier (empty under [`Precision::Exact64`]).
-    pub fn frontier32(&self) -> &[f32] {
-        &self.v32
-    }
-
-    /// The retained window entries, oldest first (for parking).
-    pub fn entries(&self) -> impl Iterator<Item = &E> + '_ {
-        self.window.iter()
-    }
-
     /// Pops a pooled entry (or a fresh default) for the caller to fill
     /// before [`push_entry`](Self::push_entry).
     pub fn take_entry(&mut self) -> E {
-        self.free.pop().unwrap_or_default()
+        self.spare.take_entry()
     }
 
-    /// The allowed-macro scratch buffer shared with `fill_slice`-style
+    /// The slice-fill scratch shared by the hierarchical families'
     /// entry fills.
-    pub fn scratch_macro_ids(&mut self) -> &mut Vec<usize> {
-        &mut self.arena.step.macro_ids
+    pub(crate) fn fill_scratch(&mut self) -> &mut FillScratch {
+        &mut self.spare.arena.fill
     }
 
     /// Consumes one filled entry, advancing the frontier by one DP step
@@ -743,8 +856,8 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
                 prev,
                 &mut entry,
                 &mut self.v,
-                &mut self.arena.step,
-                &mut self.arena.beam,
+                &mut self.spare.arena.step,
+                &mut self.spare.arena.beam,
                 &mut self.pruned,
                 &mut self.transition_ops,
             ),
@@ -754,8 +867,8 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
                 prev,
                 &mut entry,
                 &mut self.v32,
-                &mut self.arena.step32,
-                &mut self.arena.beam,
+                &mut self.spare.arena.step32,
+                &mut self.spare.arena.beam,
                 &mut self.pruned,
                 &mut self.transition_ops,
             ),
@@ -817,7 +930,7 @@ impl<E: TrellisEntry> OnlineTrellis<E> {
         // the next push refills them in place.
         while self.base <= tick && self.window.len() > 1 {
             let entry = self.window.pop_front().expect("nonempty window");
-            self.free.push(entry);
+            self.spare.free.push(entry);
             self.base += 1;
         }
         Some(decision)

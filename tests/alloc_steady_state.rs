@@ -16,18 +16,22 @@
 //! about `Vec` growth boundaries).
 //!
 //! Above the decoder, warmed frame-feature extraction is gated at zero
-//! allocations, and a warmed engine-level `StreamingRecognizer::push` on
-//! the tiny C2 model at a ceiling that only ever moves down.
+//! allocations, a warmed engine-level `StreamingRecognizer::push` on the
+//! tiny C2 model at a ceiling that only ever moves down, and so is a
+//! capped `ShardedRouter::push_round` that parks and rehydrates a home on
+//! every push.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use cace::core::{CaceConfig, CaceEngine, Strategy};
+use cace::behavior::ObservedTick;
+use cace::core::{CaceConfig, CaceEngine, ShardedRouter, Strategy};
 use cace::hdbn::{
     Beam, CoupledHdbn, DecoderConfig, Lag, OnlineCoupledViterbi, OnlineSingleViterbi, SingleHdbn,
     TickInput,
 };
-use cace_testkit::{tiny_corpus, toy_glitchy_ticks, toy_two_activity_params};
+use cace_testkit::{tiny_corpus, tiny_corpus_split, toy_glitchy_ticks, toy_two_activity_params};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -231,4 +235,69 @@ fn warmed_engine_push_stays_under_its_allocation_ceiling() {
     );
     let rec = stream.finish().expect("stream finishes");
     assert_eq!(rec.macros[0].len(), session.len());
+}
+
+/// Ceiling on the mean allocator calls per home-tick of a warmed, capped
+/// `ShardedRouter::push_round` in which every push of a parked home
+/// rehydrates it and parks another: the push, the park and the
+/// rehydration are counted together. Parking moves the stream's buffers
+/// and writes one pre-sized byte buffer; rehydration decodes into the
+/// shard's spare and resumes by value (about 27 per home-tick on this
+/// fixture).
+const PARKED_PUSH_ALLOC_CEILING: u64 = 40;
+
+#[test]
+fn warmed_parked_router_push_stays_under_its_allocation_ceiling() {
+    let (engine, _) = tiny_c2();
+    // Eight distinct homes on one shard (so the round runs on this
+    // thread, where the counter is), one of them live at a time.
+    let (_, homes) = tiny_corpus_split(16, 60, 4118, 0.5);
+    assert_eq!(homes.len(), 8);
+    let mut router = ShardedRouter::with_shards(1).with_live_cap(1);
+    router
+        .register_model("c2", Arc::new(engine))
+        .expect("fresh registry");
+    for id in 0..homes.len() as u64 {
+        router
+            .add_home(id, "c2", Lag::Fixed(5))
+            .expect("new home id");
+    }
+    let ticks = homes.iter().map(|s| s.len()).min().expect("eight homes");
+    let rounds: Vec<Vec<(u64, &ObservedTick)>> = (0..ticks)
+        .map(|t| {
+            homes
+                .iter()
+                .enumerate()
+                .map(|(id, s)| (id as u64, &s.ticks[t].observed))
+                .collect()
+        })
+        .collect();
+    for round in &rounds[..ENGINE_WARMUP] {
+        router.push_round(round).expect("warmup round");
+    }
+    let before = router.stats();
+    let allocs = count_allocs(|| {
+        for round in &rounds[ENGINE_WARMUP..] {
+            std::hint::black_box(router.push_round(round).expect("measured round"));
+        }
+    });
+    let after = router.stats();
+    let measured_rounds = (ticks - ENGINE_WARMUP) as u64;
+    let home_ticks = measured_rounds * homes.len() as u64;
+    // Every round pushes the one live home, then rehydrates (and parks)
+    // each of the other seven.
+    let cycles = (homes.len() as u64 - 1) * measured_rounds;
+    assert_eq!(after.rehydrations() - before.rehydrations(), cycles);
+    assert_eq!(after.parks() - before.parks(), cycles);
+    eprintln!("parked router push: {allocs} allocations over {home_ticks} home-ticks");
+    assert!(
+        allocs <= PARKED_PUSH_ALLOC_CEILING * home_ticks,
+        "a parked home-tick allocates {:.2} times, above the ceiling of \
+         {PARKED_PUSH_ALLOC_CEILING} ({allocs} over {home_ticks} home-ticks)",
+        allocs as f64 / home_ticks as f64
+    );
+    for (id, result) in router.finish() {
+        let rec = result.expect("every home finishes");
+        assert_eq!(rec.macros[0].len(), ticks, "home {id}");
+    }
 }
