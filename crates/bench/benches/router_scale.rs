@@ -1,5 +1,5 @@
-//! **router_scale** — the PR 7 serving-tier headline: sustained fleet
-//! throughput of the [`ShardedRouter`] as the home count sweeps 10²–10⁵.
+//! **router_scale** — the sharded serving tier's LRU cap at 10²–10⁵
+//! homes: capped decisions must equal uncapped ones.
 //!
 //! Every home is a fixed-lag stream over the tiny CACE-sim model; each
 //! round delivers one tick to every home through `push_round`, so one
@@ -13,26 +13,26 @@
 //!   on their next tick (the million-home deployment shape: resident state
 //!   bounded by the cap, not the fleet).
 //!
-//! The PR 7 acceptance gate is asserted where it is measured: at every
-//! swept size the capped router's decision stream must be **bit-identical**
-//! to the uncapped one (the cap may only move state, never change
-//! answers), and at ≥10⁴ homes the cap (256 live decoders fleet-wide) must
-//! actually churn — parks and rehydrations both observed — since this
-//! round-robin drive is the cap's worst case: every home is equally hot,
-//! so every push beyond the cap is a full snapshot-bytes park/rehydrate
-//! cycle. Throughput lands in `BENCH_PR10.json` as `router_scale/*` records
-//! carrying the `homes_per_s` claim field plus p50/p99 per-home push
-//! latency (the capped rows price that worst case; a production fleet
-//! parks *cold* homes, so its cost sits between the two rows). CI's
-//! `--quick` smoke re-runs the sweep at 10²–10⁴ and re-asserts the gates;
-//! 10⁵ runs in the full mode only, on shortened rounds.
+//! The gate is asserted where it is measured: at every swept size the
+//! capped router's decision stream must be **bit-identical** to the
+//! uncapped one (the cap may only move state, never change answers), and
+//! at ≥10⁴ homes the cap (256 live decoders fleet-wide) must actually
+//! churn — parks and rehydrations both observed — since this round-robin
+//! drive is the cap's worst case: every home is equally hot, so every
+//! push beyond the cap is a full snapshot-bytes park/rehydrate cycle.
+//!
+//! The printed homes/s and p50/p99 per-home push latency come from homes
+//! that **replay a few shared test sessions** (home `i` replays session
+//! `i % len`), so they price the router at scale, not a fleet: for
+//! throughput on homes with their own sensor streams use `fleetbench/`.
+//! CI's `--quick` smoke re-runs the sweep at 10²–10⁴ and re-asserts the
+//! gates; 10⁵ runs in the full mode only, on shortened rounds.
 
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 use cace_behavior::{ObservedTick, Session};
-use cace_bench::perf::{self, PerfRecord};
 use cace_bench::{header, nearest_rank};
 use cace_core::{CaceEngine, HomeRound, Lag, ShardedRouter, Strategy, StreamDecision};
 use cace_testkit::{engine, tiny_corpus};
@@ -52,8 +52,6 @@ fn rounds_for(size: usize) -> usize {
 /// Per-shard live cap in capped mode: 8 shards × 32 = 256 live decoders
 /// regardless of fleet size — "well below" every swept home count.
 const LIVE_CAP: usize = 32;
-/// Fleet size whose capped run doubles as the park-thrash record.
-const THRASH_SIZE: usize = 10_000;
 
 struct FleetRun {
     homes_per_s: f64,
@@ -145,13 +143,12 @@ fn bench(c: &mut Criterion) {
         &[100, 1_000, 10_000, 100_000]
     };
 
-    header("router_scale — sharded serving tier, fleet sweep (1 tick/home/round)");
+    header("router_scale — LRU cap sweep, homes replaying shared sessions (1 tick/home/round)");
     println!(
         "{:>8} {:>9} {:>12} {:>12} {:>12} {:>9} {:>11}",
         "homes", "mode", "homes/s", "p50 ns/push", "p99 ns/push", "parks", "rehydrates"
     );
 
-    let mut records = Vec::new();
     let mut gate_identity_checked = false;
     for &size in sizes {
         let uncapped = run_fleet(&engine, &test, size, None);
@@ -175,68 +172,15 @@ fn bench(c: &mut Criterion) {
                 "{size} homes with a {LIVE_CAP}/shard cap must park and rehydrate"
             );
         }
-        if size == THRASH_SIZE {
-            // Park-thrash row: the worst-case churn fleet (256 live
-            // fleet-wide, so ~97% of pushes pay a full binary
-            // park/rehydrate cycle).
-            records.push(PerfRecord {
-                id: "router_scale/thrash_10k_bin".into(),
-                per_tick_ns: capped.p50_push_ns,
-                speedup_vs_naive: None,
-                allocs_per_tick: None,
-                homes_per_s: Some(capped.homes_per_s),
-                note: format!(
-                    "{size} homes, cap {LIVE_CAP}/shard, binary (kind=stream-bin) parking: \
-                     p99 {:.0} ns/push, {} parks / {} rehydrations",
-                    capped.p99_push_ns, capped.parks, capped.rehydrations
-                ),
-            });
-        }
         assert!(
             capped.homes_per_s.is_finite() && capped.homes_per_s > 0.0,
             "{size} homes: degenerate throughput measurement"
         );
-        let id_size = if size >= 1_000 {
-            format!("{}k", size / 1_000)
-        } else {
-            size.to_string()
-        };
-        records.push(PerfRecord {
-            id: format!("router_scale/fleet_{id_size}_capped"),
-            per_tick_ns: capped.p50_push_ns,
-            speedup_vs_naive: None,
-            allocs_per_tick: None,
-            homes_per_s: Some(capped.homes_per_s),
-            note: format!(
-                "{size} homes, 8 shards, LRU cap {LIVE_CAP}/shard, lag 6, tiny C2 model: \
-                 p99 {:.0} ns/push, {} parks / {} rehydrations over {} rounds (worst-case \
-                 round-robin churn); decisions bit-identical to uncapped ({:.0} homes/s)",
-                capped.p99_push_ns,
-                capped.parks,
-                capped.rehydrations,
-                rounds_for(size),
-                uncapped.homes_per_s
-            ),
-        });
-        records.push(PerfRecord {
-            id: format!("router_scale/fleet_{id_size}_uncapped"),
-            per_tick_ns: uncapped.p50_push_ns,
-            speedup_vs_naive: None,
-            allocs_per_tick: None,
-            homes_per_s: Some(uncapped.homes_per_s),
-            note: format!(
-                "{size} homes, 8 shards, no live cap, lag 6, tiny C2 model: \
-                 p99 {:.0} ns/push",
-                uncapped.p99_push_ns
-            ),
-        });
     }
     assert!(
         gate_identity_checked,
         "the sweep must include the 10^4-home acceptance point"
     );
-
-    perf::emit(&records);
 
     // Criterion target on the smallest fleet so `--quick`/`--test` runs
     // keep a conventional timed entry point.

@@ -7,6 +7,14 @@
 //! physical testbed; ours is the simulator documented in `DESIGN.md`) — the
 //! *shape* of each result is what the benches reproduce.
 //!
+//! Three benches answer serving questions instead, and assert their gates
+//! where they measure them: `kernels` (the coupled decode kernels against
+//! the naive per-edge reference timed in the same run, plus the beam and
+//! lag sweeps), `router_scale` (capped == uncapped router decisions) and
+//! `adaptation` (the adapted model beats the frozen one on drifted data).
+//! No bench writes a file; fleet throughput on distinct homes is the
+//! `fleetbench/` benchmark's to measure.
+//!
 //! See `ARCHITECTURE.md` for the full figure/table → bench mapping.
 //!
 //! ```no_run
@@ -79,197 +87,4 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
     let rank = (p * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Machine-readable perf records: the `BENCH_PR10.json` trajectory file.
-///
-/// Each bench that measures a serving-relevant number appends
-/// [`PerfRecord`](perf::PerfRecord)s keyed by a stable `id`; re-running a bench overwrites
-/// its own records and leaves the others, so the file accumulates one
-/// up-to-date row per measurement across harnesses (`score_tables`,
-/// `beam_sweep`, `f32_lane`, `router_scale`, `kernel_parity`,
-/// `adaptation`). CI's `--quick` smoke refreshes it on every run. The
-/// PR 5/6/7/8/9 files (`BENCH_PR5.json` … `BENCH_PR9.json`) are kept as
-/// historical baselines; when `BENCH_PR10.json` does not exist yet,
-/// [`emit`](perf::emit) seeds it from the PR 9 file so still-valid
-/// records carry forward.
-pub mod perf {
-    use std::path::PathBuf;
-
-    /// One measurement row of `BENCH_PR10.json`.
-    #[derive(Debug, Clone)]
-    pub struct PerfRecord {
-        /// Stable record key, e.g. `score_tables/c2_batch_decode`.
-        pub id: String,
-        /// Steady-state per-tick latency in nanoseconds.
-        pub per_tick_ns: f64,
-        /// Speedup over the naive-scoring reference on the same workload
-        /// (`None` when the record has no naive counterpart).
-        pub speedup_vs_naive: Option<f64>,
-        /// Heap allocations per warmed tick (`None` when not measured).
-        pub allocs_per_tick: Option<f64>,
-        /// Sustained serving throughput in home-ticks per second (`None`
-        /// outside the `router_scale` fleet records).
-        pub homes_per_s: Option<f64>,
-        /// Free-form context (workload, beam, accuracy delta, ...).
-        pub note: String,
-    }
-
-    impl PerfRecord {
-        fn to_value(&self) -> serde::Value {
-            let mut fields = vec![
-                ("id".to_string(), serde::Value::Str(self.id.clone())),
-                (
-                    "per_tick_ns".to_string(),
-                    serde::Value::Float(self.per_tick_ns),
-                ),
-            ];
-            if let Some(s) = self.speedup_vs_naive {
-                fields.push(("speedup_vs_naive".to_string(), serde::Value::Float(s)));
-            }
-            if let Some(a) = self.allocs_per_tick {
-                fields.push(("allocs_per_tick".to_string(), serde::Value::Float(a)));
-            }
-            if let Some(h) = self.homes_per_s {
-                fields.push(("homes_per_s".to_string(), serde::Value::Float(h)));
-            }
-            fields.push(("note".to_string(), serde::Value::Str(self.note.clone())));
-            serde::Value::Map(fields)
-        }
-    }
-
-    /// The perf-record file at the workspace root.
-    pub fn record_path() -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_PR10.json")
-    }
-
-    /// Guard on a record batch about to be emitted: a pruning beam must
-    /// never be *slower* than the exact decode of the same workload — the
-    /// whole point of pruning is trading accuracy for latency. PR 5's
-    /// `score_tables/c2_stream_push_topk_8th` row violated this (a
-    /// `TopK(1800)` beam on C2's 14 400-state frontier keeps the beam so
-    /// wide the pruned kernel, which cannot use the dense kernel's
-    /// run-max memoization, does strictly more work than exact); this
-    /// assertion makes any such row a bench failure instead of a silent
-    /// entry in the trajectory file.
-    ///
-    /// # Panics
-    /// Panics if either id is missing from `records`, or if the pruned
-    /// row's `per_tick_ns` exceeds the exact row's.
-    pub fn assert_pruned_not_slower(records: &[PerfRecord], exact_id: &str, pruned_id: &str) {
-        let find = |id: &str| {
-            records
-                .iter()
-                .find(|r| r.id == id)
-                .unwrap_or_else(|| panic!("perf: no record with id {id}"))
-        };
-        let exact = find(exact_id);
-        let pruned = find(pruned_id);
-        assert!(
-            pruned.per_tick_ns <= exact.per_tick_ns,
-            "perf: pruned record {} ({:.0} ns/tick) is slower than exact record {} \
-             ({:.0} ns/tick) — the beam is too wide to pay for losing the dense \
-             kernel's memoizations",
-            pruned.id,
-            pruned.per_tick_ns,
-            exact.id,
-            exact.per_tick_ns,
-        );
-    }
-
-    /// `per_tick_ns` of a record in the frozen PR 5 trajectory file
-    /// (`BENCH_PR5.json`) — the historical baseline acceptance gates
-    /// compare against (e.g. the f32 lane's "≥2x faster than the f64
-    /// exact path" contract is measured against the exact path *as it
-    /// stood when the lane was specified*, so later exact-lane speedups
-    /// don't move the goalposts). Returns `None` if the file or id is
-    /// missing.
-    pub fn baseline_pr5(id: &str) -> Option<f64> {
-        baseline_from("BENCH_PR5.json", id)
-    }
-
-    /// `per_tick_ns` of a record in the frozen PR 7 trajectory file
-    /// (`BENCH_PR7.json`) — the pre-refactor kernel records the
-    /// `kernel_parity` bench gates the generic trellis engine against.
-    /// Returns `None` if the file or id is missing.
-    pub fn baseline_pr7(id: &str) -> Option<f64> {
-        baseline_from("BENCH_PR7.json", id)
-    }
-
-    fn baseline_from(file: &str, id: &str) -> Option<f64> {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(file);
-        let text = std::fs::read_to_string(path).ok()?;
-        let serde::Value::Map(fields) = serde::json::value_from_str(&text).ok()? else {
-            return None;
-        };
-        let records = fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-            ("records", serde::Value::Seq(rs)) => Some(rs),
-            _ => None,
-        })?;
-        records.iter().find_map(|r| {
-            let serde::Value::Map(fs) = r else {
-                return None;
-            };
-            let rid = fs.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                ("id", serde::Value::Str(s)) => Some(s.as_str()),
-                _ => None,
-            })?;
-            if rid != id {
-                return None;
-            }
-            fs.iter().find_map(|(k, v)| match (k.as_str(), v) {
-                ("per_tick_ns", serde::Value::Float(f)) => Some(*f),
-                _ => None,
-            })
-        })
-    }
-
-    fn record_id(value: &serde::Value) -> Option<&str> {
-        let serde::Value::Map(fields) = value else {
-            return None;
-        };
-        fields.iter().find_map(|(k, v)| match (k.as_str(), v) {
-            ("id", serde::Value::Str(s)) => Some(s.as_str()),
-            _ => None,
-        })
-    }
-
-    /// Merges `records` into `BENCH_PR10.json`: existing rows with the same
-    /// `id` are replaced, everything else is preserved. When the PR 10 file
-    /// does not exist yet, the merge starts from the frozen `BENCH_PR9.json`
-    /// so the prior trajectory's record ids carry forward. Prints the file
-    /// path so bench logs point at the artifact.
-    pub fn emit(records: &[PerfRecord]) {
-        let path = record_path();
-        let seed = path.with_file_name("BENCH_PR9.json");
-        let source = if path.exists() { &path } else { &seed };
-        let mut kept: Vec<serde::Value> = Vec::new();
-        if let Ok(text) = std::fs::read_to_string(source) {
-            if let Ok(serde::Value::Map(fields)) = serde::json::value_from_str(&text) {
-                for (key, value) in fields {
-                    if key == "records" {
-                        if let serde::Value::Seq(existing) = value {
-                            kept.extend(existing.into_iter().filter(|r| {
-                                record_id(r)
-                                    .map(|id| records.iter().all(|n| n.id != id))
-                                    .unwrap_or(false)
-                            }));
-                        }
-                    }
-                }
-            }
-        }
-        kept.extend(records.iter().map(PerfRecord::to_value));
-        let doc = serde::Value::Map(vec![("records".to_string(), serde::Value::Seq(kept))]);
-        let text = serde::json::value_to_string(&doc);
-        if let Err(e) = std::fs::write(&path, text + "\n") {
-            eprintln!("perf: could not write {}: {e}", path.display());
-        } else {
-            println!("perf: {} record(s) → {}", records.len(), path.display());
-        }
-    }
 }

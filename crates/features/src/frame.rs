@@ -27,10 +27,11 @@ impl FeatureVector {
     /// Two passes over the frame compute every statistic: the first the
     /// per-sample norms and tilts and every sum that needs no mean, the
     /// second every sum of deviations from a mean. Each accumulator adds
-    /// the same terms in the same order as the single-statistic helpers in
-    /// [`cace_signal::stats`] (`Iterator::sum` starts at `-0.0`, the Pearson
-    /// sums at `0.0`), so the features are bit-identical to computing each
-    /// statistic on its own. Frames up to 128 samples allocate nothing.
+    /// the same terms in the same order as the single-statistic helpers of
+    /// the reference kernel `cace_testkit::oracle::frame_features`
+    /// (`Iterator::sum` starts at `-0.0`, the Pearson sums at `0.0`), so
+    /// the features are bit-identical to computing each statistic on its
+    /// own. Frames up to 128 samples allocate nothing.
     pub fn from_frame(frame: &[ImuSample]) -> Self {
         let len = frame.len();
         if len == 0 {

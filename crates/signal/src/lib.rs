@@ -27,7 +27,6 @@ pub mod filter;
 pub mod goertzel;
 pub mod quaternion;
 pub mod rng;
-pub mod stats;
 pub mod trajectory;
 pub mod vec3;
 pub mod window;
@@ -37,7 +36,6 @@ pub use filter::{HighPassFilter, LowPassFilter, MovingAverage};
 pub use goertzel::goertzel_power;
 pub use quaternion::Quaternion;
 pub use rng::GaussianSampler;
-pub use stats::Summary;
 pub use trajectory::TrajectoryBuilder;
 pub use vec3::Vec3;
 pub use window::FrameWindows;

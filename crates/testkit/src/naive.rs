@@ -68,7 +68,7 @@ fn naive_slice(p: &HdbnParams, tick: &TickInput, user: usize) -> NaiveSlice {
 /// survivors the public [`Beam::select_log`] picks. Returns the mask and
 /// the survivor count. (`None` keeps the exact scan free of mask loads, so
 /// the exact reference costs what the historical decoder did — it is the
-/// `score_tables` bench's naive baseline.)
+/// `kernels` bench's naive baseline.)
 fn survivors(beam: Beam, v: &[f64]) -> (Option<Vec<bool>>, usize) {
     let mut scratch = BeamScratch::new();
     if !beam.select_log(v, &mut scratch) {

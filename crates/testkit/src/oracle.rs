@@ -27,9 +27,6 @@ use cace_mining::{AtomSpace, CandidateTick, ItemId, RuleSet, UserCandidates};
 use cace_model::StateMask;
 use cace_sensing::IMU_RATE_HZ;
 use cace_signal::goertzel::goertzel_band;
-use cace_signal::stats::{
-    kurtosis, mean_abs_deviation, mean_crossings, pearson, signal_magnitude_area, skewness, Summary,
-};
 use cace_signal::trajectory::ImuSample;
 
 /// The 32 frame features, each statistic computed on its own over
@@ -230,4 +227,217 @@ pub fn build_tick_input(
         beam,
         |u, p, g, l| micro_score(observed, scores, u, p, g, l, mask),
     )
+}
+
+// ---------------------------------------------------------------------
+// Single-statistic helpers of the reference feature kernel.
+// ---------------------------------------------------------------------
+
+/// A one-pass summary of a frame of samples.
+///
+/// Collects the statistical moments and extrema that make up most of the
+/// paper's 32-feature frame vector.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Summary {
+    /// Number of samples.
+    count: usize,
+    /// Arithmetic mean.
+    mean: f64,
+    /// Population variance.
+    variance: f64,
+    /// Minimum sample.
+    min: f64,
+    /// Maximum sample.
+    max: f64,
+    /// Root mean square.
+    rms: f64,
+}
+
+impl Summary {
+    /// Summarizes a slice. Returns the default (all-zero) summary for an
+    /// empty slice.
+    fn of(samples: &[f64]) -> Self {
+        if samples.is_empty() {
+            return Self::default();
+        }
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let variance = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let rms = (samples.iter().map(|x| x * x).sum::<f64>() / n).sqrt();
+        Self {
+            count: samples.len(),
+            mean,
+            variance,
+            min,
+            max,
+            rms,
+        }
+    }
+
+    /// Population standard deviation.
+    fn std_dev(&self) -> f64 {
+        self.variance.sqrt()
+    }
+
+    /// Peak-to-peak range.
+    fn range(&self) -> f64 {
+        self.max - self.min
+    }
+}
+
+/// Mean absolute deviation around the mean.
+fn mean_abs_deviation(samples: &[f64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    samples.iter().map(|x| (x - mean).abs()).sum::<f64>() / samples.len() as f64
+}
+
+/// Number of mean crossings (a periodicity cue).
+fn mean_crossings(samples: &[f64]) -> usize {
+    if samples.len() < 2 {
+        return 0;
+    }
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    samples
+        .windows(2)
+        .filter(|w| (w[0] - mean).signum() != (w[1] - mean).signum() && w[0] != w[1])
+        .count()
+}
+
+/// Pearson correlation of two equal-length signals; `0.0` when either is
+/// constant or the slices are empty.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+fn pearson(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "pearson requires equal-length inputs");
+    if a.is_empty() {
+        return 0.0;
+    }
+    let n = a.len() as f64;
+    let (ma, mb) = (a.iter().sum::<f64>() / n, b.iter().sum::<f64>() / n);
+    let mut cov = 0.0;
+    let mut va = 0.0;
+    let mut vb = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        cov += (x - ma) * (y - mb);
+        va += (x - ma).powi(2);
+        vb += (y - mb).powi(2);
+    }
+    if va == 0.0 || vb == 0.0 {
+        0.0
+    } else {
+        cov / (va.sqrt() * vb.sqrt())
+    }
+}
+
+/// Signal magnitude area of a 3-axis frame: `Σ(|x|+|y|+|z|) / n`.
+fn signal_magnitude_area(x: &[f64], y: &[f64], z: &[f64]) -> f64 {
+    let n = x.len().min(y.len()).min(z.len());
+    if n == 0 {
+        return 0.0;
+    }
+    (0..n)
+        .map(|i| x[i].abs() + y[i].abs() + z[i].abs())
+        .sum::<f64>()
+        / n as f64
+}
+
+/// Sample skewness (0 for symmetric, empty, or constant signals).
+fn skewness(samples: &[f64]) -> f64 {
+    let s = Summary::of(samples);
+    if s.count == 0 || s.variance == 0.0 {
+        return 0.0;
+    }
+    let n = s.count as f64;
+    let m3 = samples.iter().map(|x| (x - s.mean).powi(3)).sum::<f64>() / n;
+    m3 / s.variance.powf(1.5)
+}
+
+/// Excess kurtosis (0 for a Gaussian; negative for flat distributions).
+fn kurtosis(samples: &[f64]) -> f64 {
+    let s = Summary::of(samples);
+    if s.count == 0 || s.variance == 0.0 {
+        return 0.0;
+    }
+    let n = s.count as f64;
+    let m4 = samples.iter().map(|x| (x - s.mean).powi(4)).sum::<f64>() / n;
+    m4 / (s.variance * s.variance) - 3.0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_basics() {
+        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(s.count, 4);
+        assert!((s.mean - 2.5).abs() < 1e-12);
+        assert!((s.variance - 1.25).abs() < 1e-12);
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.max, 4.0);
+        assert!((s.range() - 3.0).abs() < 1e-12);
+        assert!((s.rms - (7.5f64).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_summary_is_default() {
+        assert_eq!(Summary::of(&[]), Summary::default());
+    }
+
+    #[test]
+    fn mad_and_crossings() {
+        assert!((mean_abs_deviation(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
+        // A sawtooth around its mean crosses many times.
+        let saw: Vec<f64> = (0..20)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        assert_eq!(mean_crossings(&saw), 19);
+        assert_eq!(mean_crossings(&[5.0; 10]), 0);
+    }
+
+    #[test]
+    fn pearson_correlations() {
+        let a = [1.0, 2.0, 3.0, 4.0];
+        let b = [2.0, 4.0, 6.0, 8.0];
+        let c = [4.0, 3.0, 2.0, 1.0];
+        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
+        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
+        assert_eq!(pearson(&a, &[1.0; 4]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn pearson_length_mismatch() {
+        pearson(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn sma() {
+        assert!(
+            (signal_magnitude_area(&[1.0, -1.0], &[2.0, -2.0], &[3.0, -3.0]) - 6.0).abs() < 1e-12
+        );
+        assert_eq!(signal_magnitude_area(&[], &[], &[]), 0.0);
+    }
+
+    #[test]
+    fn skew_and_kurtosis_of_symmetric_signal() {
+        let sym = [-2.0, -1.0, 0.0, 1.0, 2.0];
+        assert!(skewness(&sym).abs() < 1e-12);
+        // Uniform-ish distribution has negative excess kurtosis.
+        assert!(kurtosis(&sym) < 0.0);
+        // Right-skewed data has positive skewness.
+        assert!(skewness(&[0.0, 0.0, 0.0, 0.0, 10.0]) > 0.0);
+    }
+
+    #[test]
+    fn degenerate_moments_are_zero() {
+        assert_eq!(skewness(&[3.0; 5]), 0.0);
+        assert_eq!(kurtosis(&[]), 0.0);
+    }
 }

@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\n(frontier beams compose with the rule pruning above; \
-         `cargo bench -p cace-bench --bench beam_sweep` has the per-tick \
+         `cargo bench -p cace-bench --bench kernels` has the per-tick \
          latency story)"
     );
     Ok(())

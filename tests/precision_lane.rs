@@ -273,7 +273,7 @@ proptest! {
 /// Fig 9 tolerance contract: on the CASAS-style workload under the C2
 /// strategy, the `f32` lane agrees with the `f64` lane on ≥ 99% of
 /// per-tick macro decisions and its macro-averaged accuracy is within
-/// 0.1 pp — the acceptance bound the `f32_lane` bench re-measures on the
+/// 0.1 pp — the acceptance bound the `kernels` bench re-measures on the
 /// full-size corpus.
 #[test]
 fn fast32_lane_meets_fig9_tolerance_contract() {

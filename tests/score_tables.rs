@@ -23,6 +23,7 @@ use cace::hdbn::{
     OnlineSingleViterbi, SingleHdbn, TickInput,
 };
 use cace::mining::constraint::{ConstraintMiner, LabeledSequence};
+use cace::mining::HierarchicalStats;
 use cace_testkit::naive::{
     naive_accumulate_counts, naive_coupled_viterbi, naive_forward_backward, naive_single_viterbi,
 };
@@ -117,6 +118,51 @@ fn random_ticks(rng: &mut Rng, p: &HdbnParams, len: usize) -> Vec<TickInput> {
             }
             if rng.below(3) == 0 {
                 tick.macro_bonus = (0..stats.n_macro).map(|_| 2.0 * rng.f64() - 1.0).collect();
+            }
+            tick
+        })
+        .collect()
+}
+
+/// Statistics whose every distribution row is uniform, with every episode
+/// ending at probability ½: all continue scores are equal, all switch
+/// scores are equal, and coupling and hierarchy scores are constant, so
+/// paths tie whenever their observation sums do.
+fn uniform_params(n_macro: usize, n_postural: usize, n_location: usize) -> HdbnParams {
+    let table = |rows: usize, n: usize| vec![vec![1.0 / n as f64; n]; rows];
+    let stats = HierarchicalStats {
+        n_macro,
+        n_postural,
+        n_gestural: 2,
+        n_location,
+        macro_prior: vec![1.0 / n_macro as f64; n_macro],
+        intra_trans: table(n_macro, n_macro),
+        inter_cooc: table(n_macro, n_macro),
+        end_prob: vec![0.5; n_macro],
+        postural_given_macro: table(n_macro, n_postural),
+        gestural_given_macro: table(n_macro, 2),
+        location_given_macro: table(n_macro, n_location),
+        postural_trans: table(n_postural, n_postural),
+    };
+    HdbnParams::new(stats, HdbnConfig::default()).expect("uniform params build")
+}
+
+/// Ticks over `p`'s vocabulary whose observation scores come from the
+/// lattice {0, -⅛, -¼, -⅜}, so candidate scores collide.
+fn lattice_ticks(rng: &mut Rng, p: &HdbnParams, len: usize) -> Vec<TickInput> {
+    let stats = &p.stats;
+    (0..len)
+        .map(|_| {
+            let mut tick = TickInput::default();
+            for u in 0..2 {
+                tick.candidates[u] = (0..1 + rng.below(3))
+                    .map(|_| MicroCandidate {
+                        postural: rng.below(stats.n_postural),
+                        gestural: None,
+                        location: rng.below(stats.n_location),
+                        obs_loglik: -(rng.below(4) as f64) / 8.0,
+                    })
+                    .collect();
             }
             tick
         })
@@ -266,6 +312,36 @@ proptest! {
                     prop_assert_eq!(&got, &want, "single {:?} user {}", beam, user);
                     prop_assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits());
                 }
+            }
+        }
+    }
+
+    /// Tie-breaking contract: on uniform statistics with lattice-valued
+    /// observations, equal scores are common, and the batch decode and the
+    /// streaming push must still pick the naive reference's first strict
+    /// maximum every time — paths, micro tuples and log-score bits, exact
+    /// and beam-pruned.
+    #[test]
+    fn tied_scores_break_like_naive_scoring(
+        seed in 0u64..10_000,
+        len in 6usize..30,
+    ) {
+        let mut rng = Rng::new(seed);
+        let p = uniform_params(2 + rng.below(2), 1 + rng.below(3), 1 + rng.below(2));
+        let ticks = lattice_ticks(&mut rng, &p, len);
+        for beam in [Beam::Exact, Beam::TopK(3), Beam::TopK(7), Beam::LogThreshold(0.25)] {
+            let want = naive_coupled_viterbi(&p, &ticks, beam);
+            let model = CoupledHdbn::new(p.clone())
+                .with_decoder(DecoderConfig { beam, ..DecoderConfig::exact() });
+            let batch = model.viterbi(&ticks).expect("decode");
+            let mut online = OnlineCoupledViterbi::new(model, Lag::Unbounded);
+            for tick in &ticks {
+                online.push(tick).expect("push");
+            }
+            let streamed = online.finalize().expect("finalize");
+            for got in [batch, streamed] {
+                prop_assert_eq!(&got, &want, "{:?}", beam);
+                prop_assert_eq!(got.log_prob.to_bits(), want.log_prob.to_bits());
             }
         }
     }
